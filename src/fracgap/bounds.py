@@ -405,12 +405,10 @@ def run_suite(
         return list(pool.map(_suite_job, jobs))
 
 
-def suite_passed(reports: Sequence[BoundReport]) -> bool:
-    """Conjunction of the asserted verdicts: thm1, thm2 (derived), and prop."""
-    return all(
-        r.verdicts["thm1"] and r.verdicts["thm2_derived"] and r.verdicts["prop"]
-        for r in reports
-    )
+def suite_passed(reports: Sequence[BoundReport], variant: str = "derived") -> bool:
+    """Conjunction of the asserted verdicts: thm1, thm2 (given variant), and prop."""
+    gate = "thm2_" + variant
+    return all(r.verdicts["thm1"] and r.verdicts[gate] and r.verdicts["prop"] for r in reports)
 
 
 def write_suite_csv(reports: Sequence[BoundReport], path) -> None:

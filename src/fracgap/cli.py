@@ -294,10 +294,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     seps = [float(t) for t in str(cfg["separations"]).split(",")]
     tb_alpha = 1.0 if 1.0 in alphas else alphas[0]
     two_ball = bounds.two_ball_experiment(seps, StableParams(tb_alpha, 1), float(cfg["two_ball_h"]))
-    gate = "thm2_" + cfg["variant"]
-    passed = all(
-        r.verdicts["thm1"] and r.verdicts[gate] and r.verdicts["prop"] for r in reports
-    ) and all(l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps))
+    passed = bounds.suite_passed(reports, cfg["variant"]) and all(
+        l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps)
+    )
     out = _out_dir(cfg)
     csv_path = out / "suite.csv"
     bounds.write_suite_csv(reports, csv_path)

@@ -160,13 +160,11 @@ def unit_ball_volume(d: int) -> float:
 
 
 def bound_constants(p: StableParams) -> BoundConstants:
-    a_norm = norm_constant(p)
-    c_sup = ground_state_sup_constant(p)
     return BoundConstants(
-        a_norm=a_norm,
-        c_sup=c_sup,
-        c_gap_stated=a_norm / c_sup,
-        c_gap_derived=a_norm / c_sup**2,
-        c_var=0.5 * a_norm,
+        a_norm=norm_constant(p),
+        c_sup=ground_state_sup_constant(p),
+        c_gap_stated=gap_bound_constant(p, "stated"),
+        c_gap_derived=gap_bound_constant(p, "derived"),
+        c_var=variational_constant(p),
         s_ball_center=ball_exit_constant(p),
     )

@@ -359,8 +359,8 @@ def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
     padding, so domains whose boundaries align with multiples of h tile
     exactly.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not math.isfinite(h) or h <= 0.0:
+        raise ValueError("h must be positive and finite")
     diam = diameter(dom)
     if h > diam / 4.0:
         raise ValueError(f"h = {h} too coarse for a domain of diameter {diam}")

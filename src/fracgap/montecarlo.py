@@ -29,6 +29,7 @@ __all__ = [
     "sample_stable_increment",
     "estimate_exit",
     "survival_comparison",
+    "survival_log_slope",
 ]
 
 MAX_STEPS = 10**6

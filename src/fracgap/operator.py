@@ -1,28 +1,29 @@
 """Discrete killed generator on a grid: assembly, exit times, Green/harmonic split.
 
 The operator is the matrix H = diag(sum_j w_ij + kill_i) - W acting on the
-inside cells of a Grid. Off-diagonal entries w_ij are jump rates obtained by
-integrating the kernel A * |x_i - y|^(-d-alpha) over cell j (closed form in
-1D; midpoint with 3x3 subdivision for near cells in 2D, plain midpoint
-beyond). kill_i collects the rate of jumping to the complement: outside
-cells within the lattice box are integrated the same way, and the mass
-beyond the box is added in closed form (1D) or by a polar quadrature with
+inside cells of a Grid. The kernel A * |x - y|^(-d-alpha) is translation
+invariant, so the jump rate between two cells depends only on their index
+offset. One table, indexed by the absolute offset over the lattice box,
+holds the kernel integrated over the target cell (closed form in 1D;
+midpoint with 3x3 subdivision for near cells in 2D, plain midpoint beyond).
+
+The self-cell principal value is folded into the table by adding
+A * (h/2)^(2-alpha) / ((2-alpha) h^2) at every unit offset, the coefficient
+that makes the scheme exact on quadratics across the diagonal.
+
+w_ij is the table gathered at |index_i - index_j| over inside pairs, so W
+is symmetric bitwise. kill_i is the same gather over outside cells of the
+lattice box, so a nearest neighbor outside feeds the self-cell coefficient
+into kill (the Dirichlet condition for the second difference), plus the
+mass beyond the box: closed form in 1D, and in 2D a polar quadrature with
 the radial integral exact and Gauss-Legendre in the angle, split at the box
-corner directions (2D).
-
-The self-cell principal value is represented by adding
-A * (h/2)^(2-alpha) / ((2-alpha) h^2) to every nearest-neighbor link, the
-coefficient that makes the scheme exact on quadratics across the diagonal;
-links whose neighbor cell lies outside feed the same amount into kill,
-which is the Dirichlet condition for the second difference.
-
-Everything depends on cell-index offsets only, so W is symmetric bitwise.
+corner directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -39,7 +40,6 @@ __all__ = [
     "exit_time",
     "sup_exit_time",
     "dynkin_decomposition",
-    "dump_triplets",
 ]
 
 MAX_DENSE_NODES = 5000  # dense storage cap; ~70x70 inside cells in 2D
@@ -93,26 +93,6 @@ def _cell_integral_1d(dist: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return ((dist - h / 2.0) ** (-alpha) - (dist + h / 2.0) ** (-alpha)) / alpha
 
 
-def _near_values_2d(h: float, alpha: float, a_norm: float) -> dict[tuple[int, int], float]:
-    """Subdivided kernel integrals for all index offsets with 0 < |offset|_inf <= 2.
-
-    One value per unordered offset pair, mirrored into both keys, so the
-    weight matrix is symmetric to the last bit.
-    """
-    sub = (np.arange(SUBDIV) - (SUBDIV - 1) / 2.0) * (h / SUBDIV)
-    sx, sy = np.meshgrid(sub, sub, indexing="ij")
-    vals: dict[tuple[int, int], float] = {}
-    for dx in range(-NEAR_RANGE, NEAR_RANGE + 1):
-        for dy in range(-NEAR_RANGE, NEAR_RANGE + 1):
-            if (dx, dy) == (0, 0) or (dx, dy) in vals:
-                continue
-            r2 = (dx * h + sx) ** 2 + (dy * h + sy) ** 2
-            v = a_norm * (h / SUBDIV) ** 2 * float(np.sum(r2 ** (-(2.0 + alpha) / 2.0)))
-            vals[(dx, dy)] = v
-            vals[(-dx, -dy)] = v
-    return vals
-
-
 def _tail_1d(x: np.ndarray, lo: float, hi: float, alpha: float) -> np.ndarray:
     """Integral of |x - y|^(-1-alpha) over the complement of [lo, hi]."""
     return ((x - lo) ** (-alpha) + (hi - x) ** (-alpha)) / alpha
@@ -154,70 +134,37 @@ def _tail_2d(
     return seg.sum(axis=1) / alpha
 
 
-def _assemble_1d(grid: Grid, alpha: float, a_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    h = grid.h
-    idx = grid.index[:, 0]
-    n = grid.n
-    di = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    W = np.zeros((n, n))
-    off = di > 0
-    W[off] = a_norm * _cell_integral_1d(di[off] * h, h, alpha)
+def _kernel_table(dims: tuple[int, ...], h: float, alpha: float, a_norm: float) -> np.ndarray:
+    """Jump rate to the cell at every non-negative index offset in the lattice box.
 
-    out_idx = np.flatnonzero(~grid.inside)
-    x = grid.centers[:, 0]
-    kill = np.zeros(n)
-    if len(out_idx):
-        do = np.abs(idx[:, None] - out_idx[None, :]).astype(float)
-        kill += a_norm * _cell_integral_1d(do * h, h, alpha).sum(axis=1)
-    lo, hi = grid.box()
-    kill += a_norm * _tail_1d(x, float(lo[0]), float(hi[0]), alpha)
-    return W, kill
-
-
-def _assemble_2d(grid: Grid, alpha: float, a_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    h = grid.h
-    idx = grid.index
-    n = grid.n
-    dix = idx[:, 0][:, None] - idx[:, 0][None, :]
-    diy = idx[:, 1][:, None] - idx[:, 1][None, :]
-    r2 = (dix.astype(float) ** 2 + diy.astype(float) ** 2) * h * h
-    W = np.zeros((n, n))
-    off = r2 > 0.0
-    W[off] = a_norm * h * h * r2[off] ** (-(2.0 + alpha) / 2.0)
-    near = _near_values_2d(h, alpha, a_norm)
-    for (dx, dy), v in near.items():
-        W[(dix == dx) & (diy == dy)] = v
-
-    out_idx = np.argwhere(~grid.inside)
-    kill = np.zeros(n)
-    if len(out_idx):
-        ox = idx[:, 0][:, None] - out_idx[:, 0][None, :]
-        oy = idx[:, 1][:, None] - out_idx[:, 1][None, :]
-        ro2 = (ox.astype(float) ** 2 + oy.astype(float) ** 2) * h * h
-        K = a_norm * h * h * ro2 ** (-(2.0 + alpha) / 2.0)
-        for (dx, dy), v in near.items():
-            K[(ox == dx) & (oy == dy)] = v
-        kill += K.sum(axis=1)
-    lo, hi = grid.box()
-    kill += a_norm * _tail_2d(grid.centers, lo, hi, alpha)
-    return W, kill
+    Entry [k] integrates a_norm * |u|^(-d-alpha) over the cell whose center
+    sits k * h away: exactly in 1D; in 2D by the midpoint rule, subdivided
+    SUBDIV x SUBDIV when |k|_inf <= NEAR_RANGE. The entry at the origin is 0
+    and each unit offset also carries the self-cell coefficient.
+    """
+    table = np.zeros(dims)
+    if len(dims) == 1:
+        table[1:] = a_norm * _cell_integral_1d(np.arange(1, dims[0]) * h, h, alpha)
+    else:
+        expo = -(2.0 + alpha) / 2.0
+        dx, dy = np.indices(dims)
+        far = np.maximum(dx, dy) > NEAR_RANGE
+        table[far] = a_norm * h * h * ((dx[far] ** 2 + dy[far] ** 2) * h * h) ** expo
+        sub = (np.arange(SUBDIV) - (SUBDIV - 1) / 2.0) * (h / SUBDIV)
+        sx, sy = np.meshgrid(sub, sub, indexing="ij")
+        for i, j in np.argwhere(~far):
+            if i or j:
+                r2 = (i * h + sx) ** 2 + (j * h + sy) ** 2
+                table[i, j] = a_norm * (h / SUBDIV) ** 2 * float(np.sum(r2**expo))
+    unit = tuple(np.eye(len(dims), dtype=int))  # rows of the identity: one unit offset per axis
+    table[unit] += a_norm * (h / 2.0) ** (2.0 - alpha) / ((2.0 - alpha) * h * h)
+    return table
 
 
-def _apply_self_cell_correction(
-    grid: Grid, alpha: float, a_norm: float, W: np.ndarray, kill: np.ndarray
-) -> None:
-    h = grid.h
-    corr = a_norm * (h / 2.0) ** (2.0 - alpha) / ((2.0 - alpha) * h * h)
-    node_of = np.full(grid.dims, -1, dtype=int)
-    node_of[tuple(grid.index.T)] = np.arange(grid.n)
-    for axis in range(grid.d):
-        for step in (-1, 1):
-            nb = grid.index.copy()
-            nb[:, axis] += step  # stays in range thanks to the outside padding
-            nbr = node_of[tuple(nb.T)]
-            has = nbr >= 0
-            W[np.arange(grid.n)[has], nbr[has]] += corr
-            kill[~has] += corr
+def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Matrix of table[|rows_i - cols_j|] over pairs of lattice indices."""
+    offsets = (np.abs(np.subtract.outer(r, c)) for r, c in zip(rows.T, cols.T))
+    return table[tuple(offsets)]
 
 
 def assemble(grid: Grid, alpha: float) -> KilledOperator:
@@ -227,15 +174,17 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
             f"grid has {grid.n} inside cells; dense assembly is capped at {MAX_DENSE_NODES}, "
             "choose a coarser h"
         )
-    p = StableParams(alpha, grid.d)
-    a_norm = norm_constant(p)
-    if grid.d == 1:
-        W, kill = _assemble_1d(grid, alpha, a_norm)
-    elif grid.d == 2:
-        W, kill = _assemble_2d(grid, alpha, a_norm)
-    else:
+    if grid.d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
-    _apply_self_cell_correction(grid, alpha, a_norm, W, kill)
+    a_norm = norm_constant(StableParams(alpha, grid.d))
+    table = _kernel_table(grid.dims, grid.h, alpha, a_norm)
+    W = _gather(table, grid.index, grid.index)
+    lo, hi = grid.box()
+    if grid.d == 1:
+        tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
+    else:
+        tail = _tail_2d(grid.centers, lo, hi, alpha)
+    kill = _gather(table, grid.index, np.argwhere(~grid.inside)).sum(axis=1) + a_norm * tail
     if not np.isfinite(W).all() or (W < 0.0).any():
         raise AssemblyError("negative or non-finite jump weight")
     if not np.isfinite(kill).all() or (kill <= 0.0).any():
@@ -307,15 +256,3 @@ def dynkin_decomposition(
         harmonic = np.zeros(len(u))
     green = cho_solve(fac, (H @ f)[u])
     return harmonic, green
-
-
-def dump_triplets(op: KilledOperator, fh: IO[str]) -> None:
-    """Debug dump: header 'n alpha h', then 'i j w' triples (i < j), then kill rows."""
-    fh.write(f"{op.n} {op.alpha!r} {op.h!r}\n")
-    iu, ju = np.triu_indices(op.n, k=1)
-    for i, j in zip(iu, ju):
-        w = float(op.weights[i, j])
-        if w != 0.0:
-            fh.write(f"{i} {j} {w!r}\n")
-    for i in range(op.n):
-        fh.write(f"kill {i} {float(op.kill[i])!r}\n")

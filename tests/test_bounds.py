@@ -202,8 +202,12 @@ def test_suite_parallel_matches_serial():
 def test_suite_passed_requires_all_verdicts():
     reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2)
     assert suite_passed(reports)
+    assert suite_passed(reports, "stated")
     reports[0].verdicts["thm2_derived"] = False
     assert not suite_passed(reports)
+    assert suite_passed(reports, "stated")
+    reports[0].verdicts["thm2_stated"] = False
+    assert not suite_passed(reports, "stated")
 
 
 def test_suite_domains_declared():

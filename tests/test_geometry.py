@@ -66,6 +66,8 @@ def test_rasterize_preconditions():
         rasterize(interval(-1.0, 1.0), 0.5001)  # not below diameter/4
     with pytest.raises(ValueError):
         rasterize(interval(-1.0, 1.0), -0.1)
+    with pytest.raises(ValueError):
+        rasterize(interval(-1.0, 1.0), float("nan"))
 
 
 def test_rasterize_empty_grid_error():

@@ -1,15 +1,14 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from fracgap.constants import StableParams, ball_exit_constant
+from fracgap.constants import StableParams, ball_exit_constant, norm_constant
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import (
+    _tail_1d,
     _tail_2d,
     assemble,
-    dump_triplets,
     dynkin_decomposition,
     exit_time,
     sup_exit_time,
@@ -162,22 +161,6 @@ def test_dynkin_full_subset_has_zero_harmonic_part():
     assert np.abs(f - green).max() <= 1e-10
 
 
-def test_dump_triplets_format():
-    _, op = interval_op(-1.0, 1.0, 0.4)
-    buf = io.StringIO()
-    dump_triplets(op, buf)
-    lines = buf.getvalue().strip().splitlines()
-    n_str, alpha_str, h_str = lines[0].split()
-    assert int(n_str) == op.n and float(alpha_str) == op.alpha and float(h_str) == op.h
-    kills = [ln for ln in lines[1:] if ln.startswith("kill ")]
-    assert len(kills) == op.n
-    triples = [ln.split() for ln in lines[1:] if not ln.startswith("kill ")]
-    w = np.zeros_like(op.weights)
-    for i, j, val in triples:
-        w[int(i), int(j)] = w[int(j), int(i)] = float(val)
-    assert np.array_equal(w, op.weights)
-
-
 # ---------------------------------------------------------------------------
 # 2D assembly
 
@@ -241,3 +224,61 @@ def test_square_residual_on_disk_profile():
     resid = op.matrix() @ f - 1.0
     inner = rho2 <= 0.36
     assert np.abs(resid[inner]).max() <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# Individual weights, recomputed from the scheme's formulas
+
+
+def _self_cell(a_norm, h, alpha):
+    return a_norm * (h / 2.0) ** (2.0 - alpha) / ((2.0 - alpha) * h * h)
+
+
+def _rate_1d(k, h, alpha, a_norm):
+    """Jump rate to the cell k >= 1 lattice steps away: exact cell integral."""
+    dist = k * h
+    w = a_norm * ((dist - h / 2.0) ** (-alpha) - (dist + h / 2.0) ** (-alpha)) / alpha
+    return w + _self_cell(a_norm, h, alpha) if k == 1 else w
+
+
+def _rate_2d(dx, dy, h, alpha, a_norm):
+    """Jump rate to the cell at index offset (dx, dy) != (0, 0)."""
+    e = -(2.0 + alpha) / 2.0
+    if max(abs(dx), abs(dy)) > 2:  # plain midpoint
+        return a_norm * h * h * ((dx * dx + dy * dy) * h * h) ** e
+    w = 0.0  # 3x3 subdivided midpoint
+    for sx in (-h / 3.0, 0.0, h / 3.0):
+        for sy in (-h / 3.0, 0.0, h / 3.0):
+            w += ((dx * h + sx) ** 2 + (dy * h + sy) ** 2) ** e
+    w *= a_norm * (h / 3.0) ** 2
+    return w + _self_cell(a_norm, h, alpha) if abs(dx) + abs(dy) == 1 else w
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize(
+    "dom", [interval(-1.0, 1.0), Ball((0.0, 0.0), 1.0)], ids=["interval", "disk"]
+)
+def test_weights_and_kill_match_scheme_formulas(dom, alpha):
+    grid = rasterize(dom, 0.25)
+    op = assemble(grid, alpha)
+    h, d = grid.h, grid.d
+    a_norm = norm_constant(StableParams(alpha, d))
+
+    def rate(i, cell):
+        dx = [int(v) for v in cell - grid.index[i]]
+        return _rate_1d(abs(dx[0]), h, alpha, a_norm) if d == 1 else _rate_2d(*dx, h, alpha, a_norm)
+
+    for i in range(op.n):
+        for j in range(op.n):
+            want = 0.0 if i == j else rate(i, grid.index[j])
+            assert op.weights[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    lo, hi = grid.box()
+    outside = np.argwhere(~grid.inside)
+    for i in range(op.n):
+        if d == 1:
+            tail = _tail_1d(grid.centers[i, 0], lo[0], hi[0], alpha)
+        else:
+            tail = _tail_2d(grid.centers[i : i + 1], lo, hi, alpha)[0]
+        want = sum(rate(i, cell) for cell in outside) + a_norm * tail
+        assert op.kill[i] == pytest.approx(want, rel=1e-13, abs=0.0)
