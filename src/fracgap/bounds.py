@@ -148,8 +148,7 @@ def rayleigh_exit_profile_check(
     f = f * r**p.alpha * ball_exit_constant(p)
     if not f.any():
         raise GridTooCoarseError("inscribed ball contains no grid node")
-    H = op.matrix()
-    quotient = float(f @ (H @ f)) / float(f @ f)
+    quotient = float(f @ op.apply(f)) / float(f @ f)
     return quotient, lambda1_upper_ball(p, r)
 
 

@@ -39,6 +39,10 @@ __all__ = [
     "save_mask",
 ]
 
+# lattice box cells (inside and outside) that rasterize may allocate; checked
+# before any per-cell array exists
+MAX_LATTICE_CELLS = 2**20
+
 
 class EmptyGridError(ValueError):
     """Raised when rasterization produces fewer than two inside cells."""
@@ -367,7 +371,13 @@ def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
     if pad_cells < 1:
         raise ValueError("need at least one layer of outside cells")
     lo, hi = bounding_box(dom)
-    ncore = np.ceil((hi - lo) / h - 1e-9).astype(int)
+    ncore = np.ceil((hi - lo) / h - 1e-9)
+    cells = math.prod(float(n) + 2 * pad_cells for n in ncore)
+    if cells > MAX_LATTICE_CELLS:
+        raise ValueError(
+            f"h = {h} needs a lattice of {cells:.3g} cells, more than {MAX_LATTICE_CELLS}; "
+            "choose a coarser h"
+        )
     dims = tuple(int(n) + 2 * pad_cells for n in ncore)
     origin = lo - pad_cells * h
     axes = [origin[k] + (np.arange(dims[k]) + 0.5) * h for k in range(len(dims))]

@@ -1,28 +1,40 @@
-"""Discrete killed generator on a grid: assembly, exit times, Green/harmonic split.
+"""Discrete killed generator on a grid: assembly, matrix-free apply, exit times,
+Green/harmonic split.
 
-The operator is the matrix H = diag(sum_j w_ij + kill_i) - W acting on the
-inside cells of a Grid. The kernel A * |x - y|^(-d-alpha) is translation
-invariant, so the jump rate between two cells depends only on their index
-offset. One table, indexed by the absolute offset over the lattice box,
-holds the kernel integrated over the target cell (closed form in 1D;
-midpoint with 3x3 subdivision for near cells in 2D, plain midpoint beyond).
+The operator is H = diag(sum_j w_ij + kill_i) - W acting on the inside cells
+of a Grid. The kernel A * |x - y|^(-d-alpha) is translation invariant, so the
+jump rate between two cells depends only on their index offset. One table,
+indexed by the absolute offset over the lattice box, holds the kernel
+integrated over the target cell (closed form in 1D; midpoint with 3x3
+subdivision for near cells in 2D, plain midpoint beyond).
 
 The self-cell principal value is folded into the table by adding
 A * (h/2)^(2-alpha) / ((2-alpha) h^2) at every unit offset, the coefficient
 that makes the scheme exact on quadratics across the diagonal.
 
-w_ij is the table gathered at |index_i - index_j| over inside pairs, so W
-is symmetric bitwise. kill_i is the same gather over outside cells of the
-lattice box, so a nearest neighbor outside feeds the self-cell coefficient
-into kill (the Dirichlet condition for the second difference), plus the
-mass beyond the box: closed form in 1D, and in 2D a polar quadrature with
-the radial integral exact and Gauss-Legendre in the angle, split at the box
-corner directions.
+w_ij is table[|index_i - index_j|], so W is the principal submatrix, over the
+inside cells, of a (block-)Toeplitz matrix on the lattice box. The operator
+stores only the table, kill and the diagonal; `apply` computes W x as the
+table's even extension convolved with x placed in the box, by a zero-padded
+real FFT of about twice the box size (O(N log N) for N box cells), and the
+diagonal's row sums are that convolution applied to ones. `weights` and
+`matrix` gather the dense n x n arrays on demand, for the small-n oracles.
+
+kill_i is the table summed over the outside cells of the lattice box, so a
+nearest neighbor outside feeds the self-cell coefficient into kill (the
+Dirichlet condition for the second difference), plus the mass beyond the
+box: closed form in 1D, and in 2D a polar quadrature with the radial
+integral exact and Gauss-Legendre in the angle, split at the box corner
+directions.
+
+Exit times solve H s = 1 (or its restriction to a node subset) by conjugate
+gradients on `apply` with a Jacobi preconditioner. The Green/harmonic split
+stays dense and Cholesky-based: it is the reference the tests compare with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +54,15 @@ __all__ = [
     "dynkin_decomposition",
 ]
 
-MAX_DENSE_NODES = 5000  # dense storage cap; ~70x70 inside cells in 2D
+MAX_DENSE_NODES = 5000  # cap of the dense oracles and the 1D eigensolver; ~70x70 cells in 2D
 NEAR_RANGE = 2  # Chebyshev index distance treated with subdivided quadrature
 SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
 # tail below 1e-12 relative even for cells hugging a box corner
 TAIL_ANGULAR_POINTS = 32
+GATHER_BLOCK = 2**18  # table entries gathered at once when summing kill over outside cells
+CG_RTOL = 1e-14  # on the recursively updated residual, relative to the right-hand side
+CG_MAX_ITER = 10_000  # 1D alpha = 1.7 at n = 4000 needs ~2600
 
 
 class AssemblyError(RuntimeError):
@@ -55,29 +70,66 @@ class AssemblyError(RuntimeError):
 
 
 class SolveError(RuntimeError):
-    """A linear solve or factorization failed; indicates an assembly bug."""
+    """A linear solve, factorization or eigensolve failed or did not converge."""
 
 
 @dataclass
 class KilledOperator:
-    """Symmetric jump rates between inside cells plus per-cell killing rates."""
+    """Jump rates between inside cells, as one offset table, plus per-cell killing rates.
 
-    weights: np.ndarray
+    `diag` (row sums of W plus kill) is derived on construction, together
+    with the FFT symbol of the table that `apply` uses.
+    """
+
+    table: np.ndarray
     kill: np.ndarray
     h: float
     alpha: float
     d: int
     centers: np.ndarray
     index: np.ndarray
+    diag: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._cells = tuple(self.index.T)
+        self._axes = tuple(range(self.d))
+        # offsets in a box of m cells run over (-m, m): a circular convolution
+        # of length >= 2m - 1 computes the linear one
+        self._fft_shape = tuple(_smooth_len(2 * m - 1) for m in self.table.shape)
+        # FFT index k holds the rate at offset min(k, L - k); offsets >= m get
+        # the zero padded on
+        folded = [
+            np.minimum(np.minimum(np.arange(L), L - np.arange(L)), m)
+            for m, L in zip(self.table.shape, self._fft_shape)
+        ]
+        even = np.pad(self.table, [(0, 1)] * self.d)[np.ix_(*folded)]
+        self._symbol = np.fft.rfftn(even).real  # real: the extension is even
+        self.diag = self._jumps(np.ones(self.n)) + self.kill
 
     @property
     def n(self) -> int:
         return len(self.kill)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Dense W, gathered from the table on every access (n x n)."""
+        return _gather(self.table, self.index, self.index)
+
+    def _jumps(self, x: np.ndarray) -> np.ndarray:
+        """W x: x placed in the lattice box, convolved with the table's even extension."""
+        box = np.zeros(self.table.shape)
+        box[self._cells] = x
+        spec = np.fft.rfftn(box, s=self._fft_shape, axes=self._axes) * self._symbol
+        return np.fft.irfftn(spec, s=self._fft_shape, axes=self._axes)[self._cells]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x without forming H."""
+        return self.diag * x - self._jumps(x)
+
     def matrix(self) -> np.ndarray:
-        """Dense H = diag(row sums + kill) - W; symmetric positive definite."""
-        H = -self.weights.copy()
-        np.fill_diagonal(H, self.weights.sum(axis=1) + self.kill)
+        """Dense H = diag - W; symmetric positive definite."""
+        H = -self.weights
+        np.fill_diagonal(H, self.diag)
         return H
 
 
@@ -86,6 +138,19 @@ class ExitTimeField:
     """Expected exit time per inside cell; strictly positive."""
 
     values: np.ndarray
+
+
+def _smooth_len(m: int) -> int:
+    """Smallest length >= m with no prime factor above 5; pocketfft is slow on large primes."""
+    n = m
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
 
 
 def _cell_integral_1d(dist: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -167,6 +232,14 @@ def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return table[tuple(offsets)]
 
 
+def _gather_row_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row sums of _gather(table, rows, cols), built a block of rows at a time."""
+    step = max(1, GATHER_BLOCK // len(cols))
+    return np.concatenate(
+        [_gather(table, rows[i : i + step], cols).sum(axis=1) for i in range(0, len(rows), step)]
+    )
+
+
 def assemble(grid: Grid, alpha: float) -> KilledOperator:
     """Build the discrete killed generator for the given grid and index alpha."""
     if grid.n > MAX_DENSE_NODES:
@@ -178,19 +251,18 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
         raise ValueError("only dimensions 1 and 2 are supported")
     a_norm = norm_constant(StableParams(alpha, grid.d))
     table = _kernel_table(grid.dims, grid.h, alpha, a_norm)
-    W = _gather(table, grid.index, grid.index)
     lo, hi = grid.box()
     if grid.d == 1:
         tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
     else:
         tail = _tail_2d(grid.centers, lo, hi, alpha)
-    kill = _gather(table, grid.index, np.argwhere(~grid.inside)).sum(axis=1) + a_norm * tail
-    if not np.isfinite(W).all() or (W < 0.0).any():
+    kill = _gather_row_sums(table, grid.index, np.argwhere(~grid.inside)) + a_norm * tail
+    if not np.isfinite(table).all() or (table < 0.0).any():
         raise AssemblyError("negative or non-finite jump weight")
     if not np.isfinite(kill).all() or (kill <= 0.0).any():
         raise AssemblyError("killing rates must be positive and finite")
     return KilledOperator(
-        weights=W,
+        table=table,
         kill=kill,
         h=grid.h,
         alpha=alpha,
@@ -207,9 +279,37 @@ def _chol(H: np.ndarray):
         raise SolveError("operator matrix is not positive definite") from exc
 
 
+def _pcg(apply, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD system apply(x) = b by conjugate gradients, Jacobi-preconditioned.
+
+    Written out instead of calling scipy.sparse.linalg.cg so that exit-time
+    runs do not import scipy.sparse (about 4 MB of resident memory).
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    stop = CG_RTOL * float(np.linalg.norm(b))
+    for _ in range(CG_MAX_ITER):
+        q = apply(p)
+        pq = float(p @ q)
+        if pq <= 0.0:
+            raise SolveError("operator matrix is not positive definite")
+        step = rz / pq
+        x += step * p
+        r -= step * q
+        if np.linalg.norm(r) <= stop:
+            return x
+        z = r / diag
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    raise SolveError(f"conjugate gradients did not converge in {CG_MAX_ITER} iterations")
+
+
 def exit_time(op: KilledOperator) -> ExitTimeField:
     """Solve H s = 1; s_i is the expected exit time started from cell i."""
-    s = cho_solve(_chol(op.matrix()), np.ones(op.n))
+    s = _pcg(op.apply, op.diag, np.ones(op.n))
     if (s <= 0.0).any():
         raise SolveError("exit time field is not strictly positive")
     return ExitTimeField(values=s)
@@ -230,9 +330,13 @@ def _subset_indices(op: KilledOperator, subset) -> np.ndarray:
 def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
     """Max expected exit time of the operator restricted to the given nodes."""
     u = _subset_indices(op, subset)
-    H = op.matrix()
-    s = cho_solve(_chol(H[np.ix_(u, u)]), np.ones(len(u)))
-    return float(s.max())
+
+    def apply_u(y: np.ndarray) -> np.ndarray:
+        x = np.zeros(op.n)
+        x[u] = y
+        return op.apply(x)[u]
+
+    return float(_pcg(apply_u, op.diag[u], np.ones(len(u))).max())
 
 
 def dynkin_decomposition(
@@ -251,7 +355,7 @@ def dynkin_decomposition(
     H = op.matrix()
     fac = _chol(H[np.ix_(u, u)])
     if len(comp):
-        harmonic = cho_solve(fac, op.weights[np.ix_(u, comp)] @ f[comp])
+        harmonic = cho_solve(fac, -H[np.ix_(u, comp)] @ f[comp])  # off-diagonal H is -W
     else:
         harmonic = np.zeros(len(u))
     green = cho_solve(fac, (H @ f)[u])

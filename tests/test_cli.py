@@ -71,6 +71,11 @@ def test_constants_usage_error(capsys):
     assert code == 2
 
 
+def test_oversized_lattice_is_a_usage_error(tmp_path, capsys):
+    assert main(["solve", "--domain", "ball:0,0,1", "--h", "1e-5", "--out", str(tmp_path)]) == 2
+    assert "choose a coarser h" in capsys.readouterr().err
+
+
 def test_solve_command(tmp_path, capsys, schema):
     code, out = run_cli(
         capsys,

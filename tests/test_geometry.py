@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fracgap.geometry import (
     Ball,
     BallUnion,
     Box,
+    MAX_LATTICE_CELLS,
     EmptyGridError,
     IntervalUnion,
     MaskFormatError,
@@ -68,6 +70,21 @@ def test_rasterize_preconditions():
         rasterize(interval(-1.0, 1.0), -0.1)
     with pytest.raises(ValueError):
         rasterize(interval(-1.0, 1.0), float("nan"))
+
+
+def test_rasterize_refuses_oversized_lattice_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lattice of"):
+            rasterize(Ball((0.0, 0.0), 1.0), 1e-5)  # ~4e10 cells
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    core = MAX_LATTICE_CELLS - 4  # plus two padding cells per side: exactly at the cap
+    assert rasterize(interval(0.0, 1.0), 1.0 / core).dims == (MAX_LATTICE_CELLS,)
+    with pytest.raises(ValueError, match="lattice of"):
+        rasterize(interval(0.0, 1.0), 1.0 / (core + 1))
 
 
 def test_rasterize_empty_grid_error():

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_factor, cho_solve
+
+from fracgap import operator
+from fracgap.bounds import suite_domains
 from fracgap.constants import StableParams, ball_exit_constant, norm_constant
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import (
+    SolveError,
     _tail_1d,
     _tail_2d,
     assemble,
@@ -282,3 +287,44 @@ def test_weights_and_kill_match_scheme_formulas(dom, alpha):
             tail = _tail_2d(grid.centers[i : i + 1], lo, hi, alpha)[0]
         want = sum(rate(i, cell) for cell in outside) + a_norm * tail
         assert op.kill[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free apply and CG solves against the dense oracle
+
+SUITE_COARSE = suite_domains(h1d=0.02, h2d=0.1)
+
+
+@pytest.fixture(scope="module", params=[0.5, 1.0, 1.5], ids=lambda a: f"alpha{a}")
+def suite_ops(request):
+    return [(label, assemble(rasterize(dom, h), request.param)) for label, dom, h in SUITE_COARSE]
+
+
+def test_apply_matches_dense_matrix(suite_ops):
+    rng = np.random.default_rng(11)
+    for label, op in suite_ops:
+        H = op.matrix()
+        for x in (rng.standard_normal(op.n), np.ones(op.n)):
+            want = H @ x
+            got = op.apply(x)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), label
+
+
+def test_cg_exit_times_match_cholesky(suite_ops):
+    for label, op in suite_ops:
+        H = op.matrix()
+        want = cho_solve(cho_factor(H), np.ones(op.n))
+        got = exit_time(op).values
+        assert np.abs(got - want).max() <= 1e-11 * want.max(), label
+        u = np.flatnonzero(want >= want.max() / 2.0)
+        want_u = cho_solve(cho_factor(H[np.ix_(u, u)]), np.ones(len(u))).max()
+        assert sup_exit_time(op, u) == pytest.approx(want_u, rel=1e-11), label
+
+
+def test_cg_without_convergence_raises(monkeypatch):
+    _, op = interval_op(-1.0, 1.0, 0.02)
+    monkeypatch.setattr(operator, "CG_MAX_ITER", 3)
+    with pytest.raises(SolveError, match="did not converge"):
+        exit_time(op)
+    with pytest.raises(SolveError, match="did not converge"):
+        sup_exit_time(op, np.arange(op.n // 2))

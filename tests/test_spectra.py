@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from fracgap.geometry import Box, IntervalUnion, interval, rasterize
-from fracgap.operator import assemble, exit_time
+from fracgap import spectra
+from fracgap.bounds import suite_domains
+from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
+from fracgap.operator import SolveError, assemble, exit_time
 from fracgap.spectra import (
+    _lanczos,
     eigenpairs,
     ground_state_ratio,
     level_set_report,
@@ -181,3 +186,65 @@ def test_export_eigenpairs_csv(tmp_path, interval_run):
     assert lines[0].startswith("# lambda1=")
     assert lines[1] == "node,x1,phi1,phi2"
     assert len(lines) == op.n + 2
+
+
+# ---------------------------------------------------------------------------
+# Lanczos on the matrix-free apply against dense eigh
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_lanczos_matches_dense_eigh(alpha):
+    k = 6
+    for label, dom, h in suite_domains(h1d=0.02, h2d=0.1):
+        op = assemble(rasterize(dom, h), alpha)
+        assert op.n < spectra.LANCZOS_MIN_NODES[op.d]  # the helper is called below its crossover
+        want, want_vecs = eigh(op.matrix(), subset_by_index=(0, k))
+        got, vecs = _lanczos(op, k)
+        assert (np.abs(got - want[:k]) <= 1e-11 * want[:k]).all(), label
+        for j in range(k):
+            sep = min(want[j] - want[j - 1] if j else math.inf, want[j + 1] - want[j])
+            if sep > 1e-6 * want[j]:  # simple: the eigenvector is defined up to sign
+                overlap = abs(float(vecs[:, j] @ want_vecs[:, j]))  # unit vectors: h^d folded in
+                assert overlap == pytest.approx(1.0, abs=1e-8), (label, j)
+
+
+@pytest.fixture(scope="module")
+def disk_lanczos_op():
+    op = assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.05), 1.0)
+    assert op.n >= spectra.LANCZOS_MIN_NODES[2]
+    return op
+
+
+def test_lanczos_eigenpairs_deterministic(disk_lanczos_op):
+    a = eigenpairs(disk_lanczos_op, 6)
+    b = eigenpairs(disk_lanczos_op, 6)
+    assert np.array_equal(a.lambdas, b.lambdas)
+    assert np.array_equal(a.phis, b.phis)
+
+
+def test_matrix_free_pipeline_allocates_no_dense_matrix(disk_lanczos_op):
+    op = disk_lanczos_op
+    eigenpairs(op, 6)  # the first Lanczos call imports scipy.sparse.linalg; keep that out
+    tracemalloc.start()
+    try:
+        sol = eigenpairs(op, 6)
+        level_set_report(sol, op)
+        exit_time(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.n * op.n * 8 / 4
+
+
+def test_lanczos_without_convergence_raises(disk_lanczos_op, monkeypatch):
+    monkeypatch.setattr(spectra, "LANCZOS_MAX_RESTARTS", 1)
+    with pytest.raises(SolveError, match="Lanczos"):
+        eigenpairs(disk_lanczos_op, 6)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1], ids=["lanczos", "dense"])
+def test_eigen_residual_above_bound_raises(h, monkeypatch):
+    op = assemble(rasterize(Ball((0.0, 0.0), 1.0), h), 1.0)
+    monkeypatch.setattr(spectra, "EIG_RESIDUAL_TOL", 0.0)
+    with pytest.raises(SolveError, match="eigen-residual"):
+        eigenpairs(op, 3)
