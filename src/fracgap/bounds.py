@@ -310,6 +310,8 @@ def two_ball_experiment(
     the derived-constant lower bound and by the energy of the antisymmetric
     indicator test function (an upper bound by the variational principle).
     """
+    if p.d not in (1, 2):
+        raise ValueError(f"the two-component experiment runs in 1D or 2D, got d = {p.d}")
     seps: list[float] = []
     gaps: list[float] = []
     lam1s: list[float] = []

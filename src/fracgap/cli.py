@@ -3,7 +3,9 @@ the canonical experiments, with JSON/CSV reports.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
-the seed), so identical invocations produce identical bytes.
+the seed and the worker count) at a fixed BLAS thread count: identical
+invocations then produce identical bytes. Across thread counts the last bits
+of eigenvalues, eigenvectors and exit times can change.
 """
 
 from __future__ import annotations
@@ -42,7 +44,15 @@ class UsageError(ValueError):
     pass
 
 
-def _check_alpha(alpha: float) -> float:
+def _finite(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError("must be a finite number")
+    return x
+
+
+def _alpha(value) -> float:
+    alpha = _finite(value)
     if not 0.0 < alpha < 2.0:
         raise UsageError(f"alpha must lie in (0, 2), got {alpha}")
     if not CLI_ALPHA_RANGE[0] <= alpha <= CLI_ALPHA_RANGE[1]:
@@ -52,6 +62,71 @@ def _check_alpha(alpha: float) -> float:
             stacklevel=2,
         )
     return alpha
+
+
+def _list_of(item):
+    return lambda value: [item(t) for t in str(value).split(",")]
+
+
+def _variant(value) -> str:
+    if value not in ("stated", "derived"):
+        raise ValueError("variant must be 'stated' or 'derived'")
+    return value
+
+
+REQUIRED = object()  # default of a flag that has to be given
+
+# subcommand -> {flag key: (converter, default)}. The flag is --key with "_"
+# spelled "-"; the --config file key is the key itself. Defaults are used as
+# they stand. Any other value, from the file or a flag, goes through the
+# converter once, so a JSON null is accepted only where the default is None.
+FLAGS: dict[str, dict] = {
+    "constants": {"alpha": (_alpha, 1.0), "dim": (int, 1), "out": (str, None)},
+    "solve": {
+        "domain": (str, REQUIRED),
+        "alpha": (_alpha, 1.0),
+        "h": (_finite, REQUIRED),
+        "k": (int, 6),
+        "label": (str, None),
+        "prop_slack": (_finite, bounds.PROP_SLACK_PER_H),
+        "out": (str, None),
+    },
+    "exit-time": {
+        "domain": (str, REQUIRED),
+        "alpha": (_alpha, 1.0),
+        "h": (_finite, REQUIRED),
+        "out": (str, None),
+    },
+    "suite": {
+        "alphas": (_list_of(_alpha), (0.5, 1.0, 1.5)),
+        "h1d": (_finite, 0.005),
+        "h2d": (_finite, 0.05),
+        "k": (int, 6),
+        "workers": (int, 1),
+        "variant": (_variant, "derived"),
+        "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
+        "two_ball_h": (_finite, 0.02),
+        "prop_slack": (_finite, bounds.PROP_SLACK_PER_H),
+        "out": (str, None),
+    },
+    "two-ball": {
+        "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
+        "alpha": (_alpha, 1.0),
+        "dim": (int, 1),
+        "h": (_finite, 0.02),
+        "out": (str, None),
+    },
+    "mc": {
+        "domain": (str, REQUIRED),
+        "alpha": (_alpha, 1.0),
+        "x0": (_list_of(_finite), None),
+        "delta": (_finite, 1e-3),
+        "paths": (int, 10000),
+        "seed": (int, 1),
+        "grid_h": (_finite, None),
+        "out": (str, None),
+    },
+}
 
 
 def parse_domain(text: str) -> Domain:
@@ -101,23 +176,34 @@ def parse_domain(text: str) -> Domain:
     raise UsageError(f"unknown domain kind {kind!r}")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer values: defaults, then a JSON config file, then explicit flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each flag's value: its default, then the --config file, then the flag itself."""
+    flags = FLAGS[args.command]
+    given = {}
+    if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
+                given = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
-        unknown = set(file_cfg) - set(defaults)
+        if not isinstance(given, dict):
+            raise UsageError(f"config file {args.config!r} must hold a JSON object")
+        unknown = set(given) - set(flags)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    given.update({key: val for key, val in vars(args).items() if key in flags and val is not None})
+    cfg = {}
+    for key, (convert, default) in flags.items():
+        flag = "--" + key.replace("_", "-")
+        value = given.get(key, default)
+        if value is REQUIRED:
+            raise UsageError(f"{args.command} requires {flag}")
+        if value is not default:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"bad value {value!r} for {flag}: {exc}") from exc
+        cfg[key] = value
     return cfg
 
 
@@ -138,9 +224,8 @@ def _emit(obj: dict, path: Path | None = None) -> None:
 # subcommands
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"alpha": 1.0, "dim": 1, "out": None})
-    p = StableParams(_check_alpha(float(cfg["alpha"])), int(cfg["dim"]))
+def cmd_constants(cfg: dict) -> int:
+    p = StableParams(cfg["alpha"], cfg["dim"])
     c = bound_constants(p)
     report = {
         "kind": "constants_report",
@@ -174,27 +259,12 @@ def _level_set_json(rep) -> dict:
     }
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "domain": None,
-            "alpha": 1.0,
-            "h": None,
-            "k": 6,
-            "out": None,
-            "label": None,
-            "prop_slack": bounds.PROP_SLACK_PER_H,
-        },
-    )
-    if cfg["domain"] is None or cfg["h"] is None:
-        raise UsageError("solve requires --domain and --h")
-    domain = parse_domain(cfg["domain"]) if isinstance(cfg["domain"], str) else cfg["domain"]
-    alpha = _check_alpha(float(cfg["alpha"]))
-    p = StableParams(alpha, geometry.dimension(domain))
-    grid, op, sol = bounds.solve_domain(domain, alpha, float(cfg["h"]), k=int(cfg["k"]))
-    label = cfg["label"] or str(cfg["domain"]).partition(":")[0]
-    report = bounds.build_report(sol, domain, p, label, float(cfg["prop_slack"]))
+def cmd_solve(cfg: dict) -> int:
+    domain = parse_domain(cfg["domain"])
+    p = StableParams(cfg["alpha"], geometry.dimension(domain))
+    grid, op, sol = bounds.solve_domain(domain, p.alpha, cfg["h"], k=cfg["k"])
+    label = cfg["label"] or cfg["domain"].partition(":")[0]
+    report = bounds.build_report(sol, domain, p, label, cfg["prop_slack"])
     lrep = level_set_report(sol, op)
     out = _out_dir(cfg)
     eig_path = out / "eigenpairs.csv"
@@ -227,15 +297,11 @@ def _exact_center_value(domain: Domain, p: StableParams) -> float | None:
     return None
 
 
-def cmd_exit_time(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"domain": None, "alpha": 1.0, "h": None, "out": None})
-    if cfg["domain"] is None or cfg["h"] is None:
-        raise UsageError("exit-time requires --domain and --h")
+def cmd_exit_time(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
-    alpha = _check_alpha(float(cfg["alpha"]))
-    p = StableParams(alpha, geometry.dimension(domain))
-    grid = geometry.rasterize(domain, float(cfg["h"]))
-    op = assemble(grid, alpha)
+    p = StableParams(cfg["alpha"], geometry.dimension(domain))
+    grid = geometry.rasterize(domain, cfg["h"])
+    op = assemble(grid, p.alpha)
     field = exit_time(op)
     out = _out_dir(cfg)
     csv_path = out / "exit_time.csv"
@@ -251,9 +317,9 @@ def cmd_exit_time(args: argparse.Namespace) -> int:
     _emit(
         {
             "kind": "exit_time_report",
-            "alpha": alpha,
+            "alpha": p.alpha,
             "d": p.d,
-            "h": float(cfg["h"]),
+            "h": cfg["h"],
             "n": op.n,
             "max_exit_time": max_s,
             "exact_center_value": exact,
@@ -264,36 +330,18 @@ def cmd_exit_time(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "alphas": "0.5,1.0,1.5",
-            "h1d": 0.005,
-            "h2d": 0.05,
-            "k": 6,
-            "workers": 1,
-            "variant": "derived",
-            "separations": "4,8,16,32",
-            "two_ball_h": 0.02,
-            "prop_slack": bounds.PROP_SLACK_PER_H,
-            "out": None,
-        },
-    )
-    alphas = [(_check_alpha(float(t))) for t in str(cfg["alphas"]).split(",")]
-    if cfg["variant"] not in ("stated", "derived"):
-        raise UsageError("variant must be 'stated' or 'derived'")
+def cmd_suite(cfg: dict) -> int:
+    alphas = cfg["alphas"]
     reports = bounds.run_suite(
         alphas=alphas,
-        h1d=float(cfg["h1d"]),
-        h2d=float(cfg["h2d"]),
-        k=int(cfg["k"]),
-        workers=int(cfg["workers"]),
-        prop_slack_per_h=float(cfg["prop_slack"]),
+        h1d=cfg["h1d"],
+        h2d=cfg["h2d"],
+        k=cfg["k"],
+        workers=cfg["workers"],
+        prop_slack_per_h=cfg["prop_slack"],
     )
-    seps = [float(t) for t in str(cfg["separations"]).split(",")]
     tb_alpha = 1.0 if 1.0 in alphas else alphas[0]
-    two_ball = bounds.two_ball_experiment(seps, StableParams(tb_alpha, 1), float(cfg["two_ball_h"]))
+    two_ball = bounds.two_ball_experiment(cfg["separations"], StableParams(tb_alpha, 1), cfg["two_ball_h"])
     passed = bounds.suite_passed(reports, cfg["variant"]) and all(
         l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps)
     )
@@ -314,14 +362,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERDICT
 
 
-def cmd_two_ball(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {"separations": "4,8,16,32", "alpha": 1.0, "dim": 1, "h": 0.02, "out": None},
-    )
-    seps = [float(t) for t in str(cfg["separations"]).split(",")]
-    p = StableParams(_check_alpha(float(cfg["alpha"])), int(cfg["dim"]))
-    res = bounds.two_ball_experiment(seps, p, float(cfg["h"]))
+def cmd_two_ball(cfg: dict) -> int:
+    p = StableParams(cfg["alpha"], cfg["dim"])
+    res = bounds.two_ball_experiment(cfg["separations"], p, cfg["h"])
     out = _out_dir(cfg) if cfg["out"] else None
     if out is not None:
         csv_path = out / "two_ball.csv"
@@ -334,32 +377,15 @@ def cmd_two_ball(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "domain": None,
-            "alpha": 1.0,
-            "x0": None,
-            "delta": 1e-3,
-            "paths": 10000,
-            "seed": 1,
-            "grid_h": None,
-            "out": None,
-        },
-    )
-    if cfg["domain"] is None:
-        raise UsageError("mc requires --domain")
+def cmd_mc(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
     d = geometry.dimension(domain)
-    alpha = _check_alpha(float(cfg["alpha"]))
-    sampler = StableSamplerConfig(
-        alpha=alpha, d=d, delta=float(cfg["delta"]), seed=int(cfg["seed"]), paths=int(cfg["paths"])
-    )
+    alpha = cfg["alpha"]
+    sampler = StableSamplerConfig(alpha=alpha, d=d, delta=cfg["delta"], seed=cfg["seed"], paths=cfg["paths"])
     if cfg["x0"] is None:
         _, x0 = geometry.inscribed_radius(domain)
     else:
-        x0 = np.array([float(t) for t in str(cfg["x0"]).split(",")])
+        x0 = np.array(cfg["x0"])
     est = estimate_exit(sampler, domain, x0)
     try:
         slope = survival_log_slope(est)
@@ -370,7 +396,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         grid_h = 0.005
     grid_lambda1 = grid_exit = None
     if grid_h is not None:
-        grid, op, sol = bounds.solve_domain(domain, alpha, float(grid_h), k=2)
+        grid, op, sol = bounds.solve_domain(domain, alpha, grid_h, k=2)
         grid_lambda1 = float(sol.lambdas[0])
         node = int(np.argmin(np.sum((op.centers - x0) ** 2, axis=1)))
         grid_exit = float(exit_time(op).values[node])
@@ -415,66 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Killed stable process toolkit: spectra, exit times, and bound verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON file with defaults; flags override")
-        sp.add_argument("--out", help="output directory for report files")
-
-    sp = sub.add_parser("constants", help="closed-form constants for (alpha, d)")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--dim", type=int)
-    add_common(sp)
-    sp.set_defaults(func=cmd_constants)
-
-    sp = sub.add_parser("solve", help="eigenpairs plus bound and level-set reports")
-    sp.add_argument("--domain")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--label")
-    sp.add_argument("--prop-slack", dest="prop_slack", type=float)
-    add_common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("exit-time", help="expected exit time field")
-    sp.add_argument("--domain")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--h", type=float)
-    add_common(sp)
-    sp.set_defaults(func=cmd_exit_time)
-
-    sp = sub.add_parser("suite", help="full verification suite plus decay experiment")
-    sp.add_argument("--alphas")
-    sp.add_argument("--h1d", type=float)
-    sp.add_argument("--h2d", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--variant", choices=("stated", "derived"))
-    sp.add_argument("--separations")
-    sp.add_argument("--two-ball-h", dest="two_ball_h", type=float)
-    sp.add_argument("--prop-slack", dest="prop_slack", type=float)
-    add_common(sp)
-    sp.set_defaults(func=cmd_suite)
-
-    sp = sub.add_parser("two-ball", help="gap decay across two separating components")
-    sp.add_argument("--separations")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--h", type=float)
-    add_common(sp)
-    sp.set_defaults(func=cmd_two_ball)
-
-    sp = sub.add_parser("mc", help="Monte Carlo exit-time estimate with survival table")
-    sp.add_argument("--domain")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--x0")
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--paths", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--grid-h", dest="grid_h", type=float)
-    add_common(sp)
-    sp.set_defaults(func=cmd_mc)
-
+    for command, func, help_text in (
+        ("constants", cmd_constants, "closed-form constants for (alpha, d)"),
+        ("solve", cmd_solve, "eigenpairs plus bound and level-set reports"),
+        ("exit-time", cmd_exit_time, "expected exit time field"),
+        ("suite", cmd_suite, "full verification suite plus decay experiment"),
+        ("two-ball", cmd_two_ball, "gap decay across two separating components"),
+        ("mc", cmd_mc, "Monte Carlo exit-time estimate with survival table"),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        for key in FLAGS[command]:
+            out_help = "output directory for report files" if key == "out" else None
+            sp.add_argument("--" + key.replace("_", "-"), help=out_help)
+        sp.add_argument("--config", help="JSON file of flag values keyed by flag name; flags override")
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -482,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (AssemblyError, SolveError, PathBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -145,6 +145,8 @@ def estimate_exit(
     [0, ~99.9th percentile of the sampled exit times] on an even grid.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (cfg.d,):
+        raise ValueError(f"starting point needs {cfg.d} coordinates, got {x0.size}")
     if not contains(domain, x0[None, :])[0]:
         raise ValueError("starting point must lie inside the domain")
     taus = np.empty(cfg.paths)

@@ -165,6 +165,11 @@ def test_two_ball_rejects_small_separation():
         two_ball_experiment([1.5], p, h=0.02)
 
 
+def test_two_ball_rejects_dimension_three():
+    with pytest.raises(ValueError, match="1D or 2D"):
+        two_ball_experiment([4.0, 8.0], StableParams(1.0, 3), h=0.1)
+
+
 def test_two_ball_rejects_coarse_grid():
     p = StableParams(1.0, 1)
     with pytest.raises(GridTooCoarseError):

@@ -249,3 +249,51 @@ def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
         code, out = run_cli(capsys, "constants", "--alpha", "1.9", "--dim", "1")
     assert code == 0
     assert json.loads(out)["alpha"] == 1.9
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["solve"], {"domain": 5, "h": 0.1}, id="solve-config-domain-number"),
+        pytest.param(["solve"], {"domain": "interval:-1,1", "h": 0.05, "k": None}, id="solve-config-k-null"),
+        pytest.param(["exit-time"], {"domain": 5, "h": 0.1}, id="exit-time-config-domain-number"),
+        pytest.param(["mc", "--domain", "interval:-1,1", "--delta", "nan"], None, id="mc-delta-nan"),
+        pytest.param(
+            ["solve", "--domain", "interval:-1,1", "--h", "0.05", "--prop-slack", "nan"], None, id="solve-prop-slack-nan"
+        ),
+        pytest.param(["two-ball", "--dim", "3", "--separations", "4,8", "--h", "0.1"], None, id="two-ball-dim-3"),
+        pytest.param(
+            ["mc", "--domain", "interval:-1,1", "--x0", "0,5,7", "--delta", "0.01", "--paths", "1000"],
+            None,
+            id="mc-x0-length-mismatch",
+        ),
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert "NaN" not in captured.out
+
+
+def test_config_file_matches_flags(tmp_path, capsys):
+    values = {
+        "domain": "interval:-1,1",
+        "alpha": 1.2,
+        "h": 0.05,
+        "k": 4,
+        "label": "unit",
+        "prop_slack": 2.5,
+    }
+    flags = [t for key, val in values.items() for t in ("--" + key.replace("_", "-"), str(val))]
+    code, by_flags = run_cli(capsys, "solve", *flags, "--out", str(tmp_path / "flags"))
+    assert code == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**values, "out": str(tmp_path / "config")}))
+    code, by_config = run_cli(capsys, "solve", "--config", str(cfg_path))
+    assert code == 0
+    assert by_config.replace(str(tmp_path / "config"), "OUT") == by_flags.replace(str(tmp_path / "flags"), "OUT")

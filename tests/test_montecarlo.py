@@ -130,6 +130,14 @@ def test_start_point_must_be_inside():
         estimate_exit(cfg(), interval(-1.0, 1.0), 2.0)
 
 
+@pytest.mark.parametrize("x0", [[0.0, 5.0, 7.0], [0.0, 0.0]])
+def test_start_point_needs_d_coordinates(x0):
+    with pytest.raises(ValueError, match="1 coordinates"):
+        estimate_exit(cfg(), interval(-1.0, 1.0), x0)
+    with pytest.raises(ValueError, match="1 coordinates"):
+        survival_comparison(cfg(), interval(-1.0, 1.0), interval(-1.0, 1.0), [0.1], x0_a=x0)
+
+
 def test_path_budget_error(monkeypatch):
     import fracgap.montecarlo as mc
 
