@@ -123,7 +123,7 @@ def verify_ball_bound(
     The slack absorbs discretization overshoot of lambda_1; every report
     carries the factor it used.
     """
-    r, _ = geometry.inscribed_radius(domain)
+    r, _ = domain.inscribed_radius()
     if r <= 0.0:
         raise ValueError("domain has no inscribed ball")
     lhs = float(sol.lambdas[0])
@@ -142,7 +142,7 @@ def rayleigh_exit_profile_check(
     concentrates positively in the boundary cells). Returns
     (quotient, closed-form rhs).
     """
-    r, center = geometry.inscribed_radius(domain)
+    r, center = domain.inscribed_radius()
     rho2 = np.sum((op.centers - center) ** 2, axis=1) / r**2
     f = np.where(rho2 < 1.0, np.maximum(1.0 - rho2, 0.0) ** (p.alpha / 2.0), 0.0)
     f = f * r**p.alpha * ball_exit_constant(p)
@@ -205,12 +205,12 @@ def build_report(
     lam1 = float(sol.lambdas[0])
     lam2 = float(sol.lambdas[1])
     gap = lam2 - lam1
-    diam = geometry.diameter(domain)
+    diam = domain.diameter()
     sup_lhs, thm1_rhs, thm1_ok = verify_ground_state_sup(sol, p)
     thm2_stated = gap_lower_bound(p, lam1, diam, "stated")
     thm2_derived = gap_lower_bound(p, lam1, diam, "derived")
     prop_lhs, prop_rhs, prop_ok = verify_ball_bound(sol, domain, p, prop_slack_per_h)
-    r_in, _ = geometry.inscribed_radius(domain)
+    r_in, _ = domain.inscribed_radius()
     published = _PUBLISHED.get((label, p.alpha))
     mismatch = None
     if published is not None:
@@ -330,12 +330,14 @@ def two_ball_experiment(
         gap = spectral_gap(sol)
         f = np.where(halves, 1.0, -1.0)
         upper = variational_energy(op, f, sol.phis[:, 0])
-        lower = gap_lower_bound(p, float(sol.lambdas[0]), geometry.diameter(domain), "derived")
+        lower = gap_lower_bound(p, float(sol.lambdas[0]), domain.diameter(), "derived")
         seps.append(float(r))
         gaps.append(gap)
         lam1s.append(float(sol.lambdas[0]))
         uppers.append(upper)
         lowers.append(lower)
+    if len(set(seps)) < 2:
+        raise ValueError("the decay fit needs at least two distinct separations")
     _, _, sol1 = solve_domain(_single_component_domain(p.d), p.alpha, h, k=2)
     lam_single = float(sol1.lambdas[0])
     slope, intercept = np.polyfit(np.log(seps), np.log(gaps), 1)
@@ -380,8 +382,7 @@ def suite_domains(h1d: float = 0.005, h2d: float = 0.05) -> list[tuple[str, Doma
 
 def _suite_job(args: tuple[str, Domain, float, float, int, float]) -> BoundReport:
     label, domain, h, alpha, k, prop_slack_per_h = args
-    d = geometry.dimension(domain)
-    p = StableParams(alpha, d)
+    p = StableParams(alpha, domain.d)
     _, _, sol = solve_domain(domain, alpha, h, k=k)
     return build_report(sol, domain, p, label, prop_slack_per_h)
 

@@ -23,7 +23,6 @@ from . import bounds, geometry
 from .constants import (
     StableParams,
     ball_exit_constant,
-    ball_exit_time_exact,
     bound_constants,
     lambda1_upper_ball,
 )
@@ -129,6 +128,13 @@ FLAGS: dict[str, dict] = {
 }
 
 
+def _parse_ball(piece: str) -> Ball:
+    *center, radius = (float(t) for t in piece.split(","))
+    if len(center) not in (1, 2):
+        raise UsageError("a ball needs 1 or 2 center coordinates then its radius")
+    return Ball(tuple(center), radius)
+
+
 def parse_domain(text: str) -> Domain:
     """Parse a --domain value: interval:a,b | intervals:a,b;c,d | box:x0,y0,x1,y1 |
     ball:c...,r | balls:c...,r;c...,r | mask:path."""
@@ -144,29 +150,14 @@ def parse_domain(text: str) -> Domain:
             return IntervalUnion(ivs)  # type: ignore[arg-type]
         if kind == "box":
             vals = [float(t) for t in rest.split(",")]
-            if len(vals) == 2:
-                return Box((vals[0],), (vals[1],))
-            if len(vals) == 4:
-                return Box((vals[0], vals[1]), (vals[2], vals[3]))
-            raise UsageError("box needs 2 numbers (1D) or 4 numbers (2D)")
+            if len(vals) not in (2, 4):
+                raise UsageError("box needs 2 numbers (1D) or 4 numbers (2D)")
+            half = len(vals) // 2
+            return Box(tuple(vals[:half]), tuple(vals[half:]))
         if kind == "ball":
-            vals = [float(t) for t in rest.split(",")]
-            if len(vals) == 2:
-                return Ball((vals[0],), vals[1])
-            if len(vals) == 3:
-                return Ball((vals[0], vals[1]), vals[2])
-            raise UsageError("ball needs center coordinates then radius")
+            return _parse_ball(rest)
         if kind == "balls":
-            balls = []
-            for piece in rest.split(";"):
-                vals = [float(t) for t in piece.split(",")]
-                if len(vals) == 2:
-                    balls.append(Ball((vals[0],), vals[1]))
-                elif len(vals) == 3:
-                    balls.append(Ball((vals[0], vals[1]), vals[2]))
-                else:
-                    raise UsageError("each ball needs center coordinates then radius")
-            return BallUnion(tuple(balls))
+            return BallUnion(tuple(_parse_ball(piece) for piece in rest.split(";")))
         if kind == "mask":
             return load_mask(rest)
     except UsageError:
@@ -261,7 +252,7 @@ def _level_set_json(rep) -> dict:
 
 def cmd_solve(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
-    p = StableParams(cfg["alpha"], geometry.dimension(domain))
+    p = StableParams(cfg["alpha"], domain.d)
     grid, op, sol = bounds.solve_domain(domain, p.alpha, cfg["h"], k=cfg["k"])
     label = cfg["label"] or cfg["domain"].partition(":")[0]
     report = bounds.build_report(sol, domain, p, label, cfg["prop_slack"])
@@ -288,18 +279,17 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _exact_center_value(domain: Domain, p: StableParams) -> float | None:
-    """Exact max exit time when the domain is a ball (or a single interval)."""
-    if isinstance(domain, Ball):
-        return ball_exit_time_exact(p, domain.radius, domain.center)
-    if isinstance(domain, IntervalUnion) and len(domain.intervals) == 1:
-        a, b = domain.intervals[0]
-        return ((b - a) / 2.0) ** p.alpha * ball_exit_constant(p)
+    """Exact max exit time, attained at the center, when the domain is a ball
+    (or a single interval) of radius r: r^alpha times the unit-ball constant."""
+    if isinstance(domain, Ball) or (isinstance(domain, IntervalUnion) and len(domain.intervals) == 1):
+        r, _ = domain.inscribed_radius()
+        return r**p.alpha * ball_exit_constant(p)
     return None
 
 
 def cmd_exit_time(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
-    p = StableParams(cfg["alpha"], geometry.dimension(domain))
+    p = StableParams(cfg["alpha"], domain.d)
     grid = geometry.rasterize(domain, cfg["h"])
     op = assemble(grid, p.alpha)
     field = exit_time(op)
@@ -379,11 +369,11 @@ def cmd_two_ball(cfg: dict) -> int:
 
 def cmd_mc(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
-    d = geometry.dimension(domain)
+    d = domain.d
     alpha = cfg["alpha"]
     sampler = StableSamplerConfig(alpha=alpha, d=d, delta=cfg["delta"], seed=cfg["seed"], paths=cfg["paths"])
     if cfg["x0"] is None:
-        _, x0 = geometry.inscribed_radius(domain)
+        _, x0 = domain.inscribed_radius()
     else:
         x0 = np.array(cfg["x0"])
     est = estimate_exit(sampler, domain, x0)

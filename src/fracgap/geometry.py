@@ -1,11 +1,15 @@
 """Bounded open domains in R^1 and R^2, and their rasterization onto uniform grids.
 
 Domains are small frozen descriptions (interval unions, balls, boxes, ball
-unions, raster masks). A Grid is an axis-aligned lattice of cell centers with
-an inside mask; a cell is inside exactly when its center lies in the domain.
-Geometric measurements on raster masks are deliberately conservative: the
-diameter is padded so downstream lower bounds can only weaken, and the
-inscribed ball is valid but not necessarily maximal.
+unions, raster masks). Each kind carries its geometry: the dimension `d`,
+`bounding_box()` of its closure, `diameter()`, `inscribed_radius()` (radius
+and center of a ball inside it), `dilate(r)` (coordinates scaled by r > 0;
+any other r fails the constructor's checks) and the membership test behind
+`contains`. A Grid is an axis-aligned lattice of cell centers with an inside
+mask; a cell is inside exactly when its center lies in the domain.
+Measurements are exact for the analytic shapes and deliberately conservative
+on raster masks: the diameter is padded so downstream lower bounds can only
+weaken, and the inscribed ball is valid but not necessarily maximal.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ __all__ = [
     "EmptyGridError",
     "MaskFormatError",
     "interval",
-    "dimension",
-    "bounding_box",
     "contains",
-    "diameter",
-    "inscribed_radius",
-    "dilate",
     "rasterize",
     "mask_from_predicate",
     "load_mask",
@@ -42,6 +41,9 @@ __all__ = [
 # lattice box cells (inside and outside) that rasterize may allocate; checked
 # before any per-cell array exists
 MAX_LATTICE_CELLS = 2**20
+
+# (points x cells) pairs a raster measurement handles at once, to keep memory flat
+_PAIR_BLOCK = 2**18
 
 
 class EmptyGridError(ValueError):
@@ -57,6 +59,7 @@ class IntervalUnion:
     """Disjoint union of open intervals (a, b) on the line."""
 
     intervals: tuple[tuple[float, float], ...]
+    d = 1
 
     def __post_init__(self) -> None:
         if not self.intervals:
@@ -68,6 +71,29 @@ class IntervalUnion:
         for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
             if a2 < b1:
                 raise ValueError(f"intervals ({a1}, {b1}) and ({a2}, {b2}) overlap")
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array([min(a for a, _ in self.intervals)]),
+            np.array([max(b for _, b in self.intervals)]),
+        )
+
+    def _contains(self, pts: np.ndarray) -> np.ndarray:
+        x = pts[:, 0]
+        out = np.zeros(len(x), dtype=bool)
+        for a, b in self.intervals:
+            out |= (x > a) & (x < b)
+        return out
+
+    def diameter(self) -> float:
+        return max(b for _, b in self.intervals) - min(a for a, _ in self.intervals)
+
+    def inscribed_radius(self) -> tuple[float, np.ndarray]:
+        a, b = max(self.intervals, key=lambda ab: ab[1] - ab[0])
+        return (b - a) / 2.0, np.array([(a + b) / 2.0])
+
+    def dilate(self, r: float) -> IntervalUnion:
+        return IntervalUnion(tuple((a * r, b * r) for a, b in self.intervals))
 
 
 @dataclass(frozen=True)
@@ -83,6 +109,27 @@ class Ball:
         if len(self.center) not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
 
+    @property
+    def d(self) -> int:
+        return len(self.center)
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.asarray(self.center, dtype=float)
+        return c - self.radius, c + self.radius
+
+    def _contains(self, pts: np.ndarray) -> np.ndarray:
+        c = np.asarray(self.center)
+        return np.sum((pts - c) ** 2, axis=1) < self.radius**2
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def inscribed_radius(self) -> tuple[float, np.ndarray]:
+        return self.radius, np.asarray(self.center, dtype=float)
+
+    def dilate(self, r: float) -> Ball:
+        return Ball(tuple(c * r for c in self.center), self.radius * r)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -97,6 +144,29 @@ class Box:
         for a, b in zip(self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"invalid box edge ({a}, {b})")
+
+    @property
+    def d(self) -> int:
+        return len(self.lo)
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+
+    def _contains(self, pts: np.ndarray) -> np.ndarray:
+        lo = np.asarray(self.lo)
+        hi = np.asarray(self.hi)
+        return np.all((pts > lo) & (pts < hi), axis=1)
+
+    def diameter(self) -> float:
+        return math.dist(self.lo, self.hi)
+
+    def inscribed_radius(self) -> tuple[float, np.ndarray]:
+        lo = np.asarray(self.lo)
+        hi = np.asarray(self.hi)
+        return float(np.min(hi - lo)) / 2.0, (lo + hi) / 2.0
+
+    def dilate(self, r: float) -> Box:
+        return Box(tuple(c * r for c in self.lo), tuple(c * r for c in self.hi))
 
 
 @dataclass(frozen=True)
@@ -116,6 +186,33 @@ class BallUnion:
                 dist = math.dist(bi.center, bj.center)
                 if dist < bi.radius + bj.radius:
                     raise ValueError("balls overlap")
+
+    @property
+    def d(self) -> int:
+        return self.balls[0].d
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        los, his = zip(*(b.bounding_box() for b in self.balls))
+        return np.min(los, axis=0), np.max(his, axis=0)
+
+    def _contains(self, pts: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(pts), dtype=bool)
+        for b in self.balls:
+            out |= b._contains(pts)
+        return out
+
+    def diameter(self) -> float:
+        best = max(2.0 * b.radius for b in self.balls)
+        for i, bi in enumerate(self.balls):
+            for bj in self.balls[i + 1 :]:
+                best = max(best, math.dist(bi.center, bj.center) + bi.radius + bj.radius)
+        return best
+
+    def inscribed_radius(self) -> tuple[float, np.ndarray]:
+        return max(self.balls, key=lambda bb: bb.radius).inscribed_radius()
+
+    def dilate(self, r: float) -> BallUnion:
+        return BallUnion(tuple(b.dilate(r) for b in self.balls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +234,79 @@ class RasterMask:
             raise ValueError("mask must be 1- or 2-dimensional")
         if not m.any():
             raise ValueError("mask must contain at least one filled cell")
-        if self.h <= 0.0:
-            raise ValueError("mask spacing must be positive")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"mask spacing must be positive and finite, got {self.h}")
         object.__setattr__(self, "mask", m)
         origin = self.origin if self.origin else (0.0,) * m.ndim
         if len(origin) != m.ndim:
             raise ValueError("origin dimension does not match mask")
         object.__setattr__(self, "origin", tuple(float(c) for c in origin))
+
+    @property
+    def d(self) -> int:
+        return self.mask.ndim
+
+    def _cell_centers(self) -> np.ndarray:
+        idx = np.argwhere(self.mask).astype(float)
+        return np.asarray(self.origin) + (idx + 0.5) * self.h
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.argwhere(self.mask)
+        o = np.asarray(self.origin)
+        return o + idx.min(axis=0) * self.h, o + (idx.max(axis=0) + 1) * self.h
+
+    def _contains(self, pts: np.ndarray) -> np.ndarray:
+        idx = np.floor((pts - np.asarray(self.origin)) / self.h).astype(int)
+        shape = np.asarray(self.mask.shape)
+        ok = np.all((idx >= 0) & (idx < shape), axis=1)
+        out = np.zeros(len(pts), dtype=bool)
+        if ok.any():
+            sel = idx[ok]
+            out[ok] = self.mask[tuple(sel.T)]
+        return out
+
+    def diameter(self) -> float:
+        """Maximal cell-center distance padded by h*sqrt(d), an upper bound."""
+        pts = self._cell_centers()
+        best = 0.0
+        step = max(1, _PAIR_BLOCK // len(pts))
+        for start in range(0, len(pts), step):
+            blk = pts[start : start + step]
+            d2 = np.sum((blk[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+            best = max(best, float(np.sqrt(d2.max())))
+        return best + self.h * math.sqrt(self.d)
+
+    def _dist_to_complement(self, pts: np.ndarray) -> np.ndarray:
+        """Exact distance from each point to the complement of the cell union."""
+        o = np.asarray(self.origin)
+        empty_idx = np.argwhere(~self.mask)
+        # distance to the outside of the mask extent
+        hi = o + np.asarray(self.mask.shape) * self.h
+        d_ext = np.min(np.minimum(pts - o, hi - pts), axis=1)
+        if len(empty_idx) == 0:
+            return d_ext
+        cell_lo = o + empty_idx * self.h
+        cell_hi = cell_lo + self.h
+        d_cells = np.empty(len(pts))
+        # point-to-box distance over (points, empty cells), in blocks of points
+        step = max(1, _PAIR_BLOCK // len(cell_lo))
+        for start in range(0, len(pts), step):
+            blk = pts[start : start + step]
+            gap_lo = cell_lo[None, :, :] - blk[:, None, :]
+            gap_hi = blk[:, None, :] - cell_hi[None, :, :]
+            gap = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
+            d_cells[start : start + step] = np.sqrt(np.sum(gap**2, axis=2)).min(axis=1)
+        return np.minimum(d_ext, d_cells)
+
+    def inscribed_radius(self) -> tuple[float, np.ndarray]:
+        """Centered at the inside cell center farthest from the complement."""
+        pts = self._cell_centers()
+        dist = self._dist_to_complement(pts)
+        k = int(np.argmax(dist))
+        return float(dist[k]), pts[k]
+
+    def dilate(self, r: float) -> RasterMask:
+        return RasterMask(self.mask, self.h * r, tuple(c * r for c in self.origin))
 
 
 Domain = Union[IntervalUnion, Ball, Box, BallUnion, RasterMask]
@@ -154,173 +317,9 @@ def interval(a: float, b: float) -> IntervalUnion:
     return IntervalUnion(((a, b),))
 
 
-def dimension(dom: Domain) -> int:
-    if isinstance(dom, IntervalUnion):
-        return 1
-    if isinstance(dom, Ball):
-        return len(dom.center)
-    if isinstance(dom, Box):
-        return len(dom.lo)
-    if isinstance(dom, BallUnion):
-        return len(dom.balls[0].center)
-    if isinstance(dom, RasterMask):
-        return dom.mask.ndim
-    raise TypeError(f"not a domain: {dom!r}")
-
-
-def _raster_cell_centers(dom: RasterMask) -> np.ndarray:
-    idx = np.argwhere(dom.mask).astype(float)
-    return np.asarray(dom.origin) + (idx + 0.5) * dom.h
-
-
-def bounding_box(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Tight axis-aligned bounding box (lo, hi) of the closure of the domain."""
-    if isinstance(dom, IntervalUnion):
-        return (
-            np.array([min(a for a, _ in dom.intervals)]),
-            np.array([max(b for _, b in dom.intervals)]),
-        )
-    if isinstance(dom, Ball):
-        c = np.asarray(dom.center, dtype=float)
-        return c - dom.radius, c + dom.radius
-    if isinstance(dom, Box):
-        return np.asarray(dom.lo, dtype=float), np.asarray(dom.hi, dtype=float)
-    if isinstance(dom, BallUnion):
-        los, his = zip(*(bounding_box(b) for b in dom.balls))
-        return np.min(los, axis=0), np.max(his, axis=0)
-    if isinstance(dom, RasterMask):
-        idx = np.argwhere(dom.mask)
-        o = np.asarray(dom.origin)
-        return o + idx.min(axis=0) * dom.h, o + (idx.max(axis=0) + 1) * dom.h
-    raise TypeError(f"not a domain: {dom!r}")
-
-
 def contains(dom: Domain, pts: np.ndarray) -> np.ndarray:
     """Membership of points in the open domain; pts has shape (m, d)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(dom, IntervalUnion):
-        x = pts[:, 0]
-        out = np.zeros(len(x), dtype=bool)
-        for a, b in dom.intervals:
-            out |= (x > a) & (x < b)
-        return out
-    if isinstance(dom, Ball):
-        c = np.asarray(dom.center)
-        return np.sum((pts - c) ** 2, axis=1) < dom.radius**2
-    if isinstance(dom, Box):
-        lo = np.asarray(dom.lo)
-        hi = np.asarray(dom.hi)
-        return np.all((pts > lo) & (pts < hi), axis=1)
-    if isinstance(dom, BallUnion):
-        out = np.zeros(len(pts), dtype=bool)
-        for b in dom.balls:
-            out |= contains(b, pts)
-        return out
-    if isinstance(dom, RasterMask):
-        idx = np.floor((pts - np.asarray(dom.origin)) / dom.h).astype(int)
-        shape = np.asarray(dom.mask.shape)
-        ok = np.all((idx >= 0) & (idx < shape), axis=1)
-        out = np.zeros(len(pts), dtype=bool)
-        if ok.any():
-            sel = idx[ok]
-            out[ok] = dom.mask[tuple(sel.T)]
-        return out
-    raise TypeError(f"not a domain: {dom!r}")
-
-
-def diameter(dom: Domain) -> float:
-    """Supremum of pairwise distances; exact for analytic shapes.
-
-    For raster masks: the maximal cell-center distance padded by h*sqrt(d),
-    an upper bound, so a gap lower bound computed from it stays valid.
-    """
-    if isinstance(dom, IntervalUnion):
-        return max(b for _, b in dom.intervals) - min(a for a, _ in dom.intervals)
-    if isinstance(dom, Ball):
-        return 2.0 * dom.radius
-    if isinstance(dom, Box):
-        return math.dist(dom.lo, dom.hi)
-    if isinstance(dom, BallUnion):
-        best = max(2.0 * b.radius for b in dom.balls)
-        for i, bi in enumerate(dom.balls):
-            for bj in dom.balls[i + 1 :]:
-                best = max(best, math.dist(bi.center, bj.center) + bi.radius + bj.radius)
-        return best
-    if isinstance(dom, RasterMask):
-        pts = _raster_cell_centers(dom)
-        d = dom.mask.ndim
-        best = 0.0
-        # chunked pairwise max to keep memory flat on large masks
-        for start in range(0, len(pts), 1024):
-            blk = pts[start : start + 1024]
-            d2 = np.sum((blk[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-            best = max(best, float(np.sqrt(d2.max())))
-        return best + dom.h * math.sqrt(d)
-    raise TypeError(f"not a domain: {dom!r}")
-
-
-def _dist_to_raster_complement(dom: RasterMask, pts: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the complement of the cell union."""
-    o = np.asarray(dom.origin)
-    empty_idx = np.argwhere(~dom.mask)
-    # distance to the outside of the mask extent
-    lo = o
-    hi = o + np.asarray(dom.mask.shape) * dom.h
-    d_ext = np.min(np.minimum(pts - lo, hi - pts), axis=1)
-    if len(empty_idx) == 0:
-        return d_ext
-    cell_lo = o + empty_idx * dom.h
-    cell_hi = cell_lo + dom.h
-    # point-to-box distance, vectorized over (points, empty cells)
-    gap_lo = cell_lo[None, :, :] - pts[:, None, :]
-    gap_hi = pts[:, None, :] - cell_hi[None, :, :]
-    gap = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
-    d_cells = np.sqrt(np.sum(gap**2, axis=2)).min(axis=1)
-    return np.minimum(d_ext, d_cells)
-
-
-def inscribed_radius(dom: Domain) -> tuple[float, np.ndarray]:
-    """Radius and center of a ball contained in the domain.
-
-    Exact (maximal) for analytic shapes. For raster masks the center is
-    chosen among inside cell centers by maximizing the exact distance to
-    the complement, which yields a valid, not necessarily maximal, ball.
-    """
-    if isinstance(dom, IntervalUnion):
-        a, b = max(dom.intervals, key=lambda ab: ab[1] - ab[0])
-        return (b - a) / 2.0, np.array([(a + b) / 2.0])
-    if isinstance(dom, Ball):
-        return dom.radius, np.asarray(dom.center, dtype=float)
-    if isinstance(dom, Box):
-        lo = np.asarray(dom.lo)
-        hi = np.asarray(dom.hi)
-        return float(np.min(hi - lo)) / 2.0, (lo + hi) / 2.0
-    if isinstance(dom, BallUnion):
-        b = max(dom.balls, key=lambda bb: bb.radius)
-        return b.radius, np.asarray(b.center, dtype=float)
-    if isinstance(dom, RasterMask):
-        pts = _raster_cell_centers(dom)
-        dist = _dist_to_raster_complement(dom, pts)
-        k = int(np.argmax(dist))
-        return float(dist[k]), pts[k]
-    raise TypeError(f"not a domain: {dom!r}")
-
-
-def dilate(dom: Domain, r: float) -> Domain:
-    """Scale all coordinates of the domain by r > 0."""
-    if r <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    if isinstance(dom, IntervalUnion):
-        return IntervalUnion(tuple((a * r, b * r) for a, b in dom.intervals))
-    if isinstance(dom, Ball):
-        return Ball(tuple(c * r for c in dom.center), dom.radius * r)
-    if isinstance(dom, Box):
-        return Box(tuple(c * r for c in dom.lo), tuple(c * r for c in dom.hi))
-    if isinstance(dom, BallUnion):
-        return BallUnion(tuple(dilate(b, r) for b in dom.balls))
-    if isinstance(dom, RasterMask):
-        return RasterMask(dom.mask, dom.h * r, tuple(c * r for c in dom.origin))
-    raise TypeError(f"not a domain: {dom!r}")
+    return dom._contains(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 @dataclass
@@ -355,6 +354,12 @@ class Grid:
         return self.origin, self.origin + np.asarray(self.dims) * self.h
 
 
+def _lattice_centers(origin: np.ndarray, dims: Sequence[int], h: float) -> np.ndarray:
+    """Centers of every cell of the lattice box, shape (prod(dims), d), in C order."""
+    axes = [origin[k] + (np.arange(dims[k]) + 0.5) * h for k in range(len(dims))]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
 def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
     """Lay a uniform grid over the domain; a cell is inside iff its center is.
 
@@ -365,12 +370,12 @@ def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
     """
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError("h must be positive and finite")
-    diam = diameter(dom)
+    diam = dom.diameter()
     if h > diam / 4.0:
         raise ValueError(f"h = {h} too coarse for a domain of diameter {diam}")
     if pad_cells < 1:
         raise ValueError("need at least one layer of outside cells")
-    lo, hi = bounding_box(dom)
+    lo, hi = dom.bounding_box()
     ncore = np.ceil((hi - lo) / h - 1e-9)
     cells = math.prod(float(n) + 2 * pad_cells for n in ncore)
     if cells > MAX_LATTICE_CELLS:
@@ -380,13 +385,7 @@ def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
         )
     dims = tuple(int(n) + 2 * pad_cells for n in ncore)
     origin = lo - pad_cells * h
-    axes = [origin[k] + (np.arange(dims[k]) + 0.5) * h for k in range(len(dims))]
-    if len(dims) == 1:
-        pts = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = contains(dom, pts).reshape(dims)
+    inside = contains(dom, _lattice_centers(origin, dims, h)).reshape(dims)
     n_in = int(inside.sum())
     if n_in == 0:
         raise EmptyGridError(f"no cell center falls inside the domain at h = {h}")
@@ -406,14 +405,8 @@ def mask_from_predicate(
     """Build a raster-mask domain by sampling a membership predicate at cell centers."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    dims = np.ceil((hi - lo) / h - 1e-9).astype(int)
-    axes = [lo[k] + (np.arange(dims[k]) + 0.5) * h for k in range(len(dims))]
-    if len(dims) == 1:
-        pts = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-    mask = np.asarray(predicate(pts), dtype=bool).reshape(tuple(dims))
+    dims = tuple(int(n) for n in np.ceil((hi - lo) / h - 1e-9))
+    mask = np.asarray(predicate(_lattice_centers(lo, dims, h)), dtype=bool).reshape(dims)
     return RasterMask(mask, h, tuple(lo))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Domain, contains, inscribed_radius
+from .geometry import Domain, contains
 
 __all__ = [
     "StableSamplerConfig",
@@ -197,9 +197,9 @@ def survival_comparison(
     """
     ts = np.asarray(ts, dtype=float)
     if x0_a is None:
-        _, x0_a = inscribed_radius(domain_a)
+        _, x0_a = domain_a.inscribed_radius()
     if x0_b is None:
-        _, x0_b = inscribed_radius(domain_b)
+        _, x0_b = domain_b.inscribed_radius()
     est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts)
     est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts)
     out = []

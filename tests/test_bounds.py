@@ -170,6 +170,12 @@ def test_two_ball_rejects_dimension_three():
         two_ball_experiment([4.0, 8.0], StableParams(1.0, 3), h=0.1)
 
 
+@pytest.mark.parametrize("separations", [[4.0], [4.0, 4.0]])
+def test_two_ball_needs_two_distinct_separations(separations):
+    with pytest.raises(ValueError, match="two distinct separations"):
+        two_ball_experiment(separations, StableParams(1.0, 1), h=0.05)
+
+
 def test_two_ball_rejects_coarse_grid():
     p = StableParams(1.0, 1)
     with pytest.raises(GridTooCoarseError):

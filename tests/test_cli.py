@@ -152,6 +152,20 @@ def test_exit_time_command(tmp_path, capsys, schema):
     assert (tmp_path / "exit_time.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "centred, shifted",
+    [("ball:0,0,1", "ball:3,0,1"), ("ball:0,0,1", "ball:0.5,0,1"), ("ball:0,1", "ball:3,1")],
+)
+def test_exit_time_exact_value_on_shifted_balls(tmp_path, capsys, centred, shifted):
+    reports = []
+    for i, domain in enumerate((centred, shifted)):
+        code, out = run_cli(capsys, "exit-time", "--domain", domain, "--h", "0.05", "--out", str(tmp_path / str(i)))
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[1]["exact_center_value"] == reports[0]["exact_center_value"]
+    assert reports[1]["center_rel_err"] < 0.01
+
+
 def test_mc_command_deterministic(tmp_path, capsys, schema):
     argv = [
         "mc",
@@ -262,6 +276,7 @@ def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
             ["solve", "--domain", "interval:-1,1", "--h", "0.05", "--prop-slack", "nan"], None, id="solve-prop-slack-nan"
         ),
         pytest.param(["two-ball", "--dim", "3", "--separations", "4,8", "--h", "0.1"], None, id="two-ball-dim-3"),
+        pytest.param(["two-ball", "--separations", "4", "--h", "0.05"], None, id="two-ball-one-separation"),
         pytest.param(
             ["mc", "--domain", "interval:-1,1", "--x0", "0,5,7", "--delta", "0.01", "--paths", "1000"],
             None,

@@ -12,10 +12,8 @@ from fracgap.geometry import (
     EmptyGridError,
     IntervalUnion,
     MaskFormatError,
+    RasterMask,
     contains,
-    diameter,
-    dilate,
-    inscribed_radius,
     interval,
     load_mask,
     mask_from_predicate,
@@ -104,11 +102,11 @@ def test_grid_inside_centers_are_members():
 
 
 def test_diameter_exact_shapes():
-    assert diameter(interval(-1.0, 1.0)) == pytest.approx(2.0)
-    assert diameter(Box((-1.0, -1.0), (1.0, 1.0))) == pytest.approx(2.0 * math.sqrt(2.0))
+    assert interval(-1.0, 1.0).diameter() == pytest.approx(2.0)
+    assert Box((-1.0, -1.0), (1.0, 1.0)).diameter() == pytest.approx(2.0 * math.sqrt(2.0))
     two = BallUnion((Ball((-3.0, 0.0), 1.0), Ball((3.0, 0.0), 1.0)))
-    assert diameter(two) == pytest.approx(8.0)
-    assert diameter(Ball((0.5,), 2.0)) == pytest.approx(4.0)
+    assert two.diameter() == pytest.approx(8.0)
+    assert Ball((0.5,), 2.0).diameter() == pytest.approx(4.0)
 
 
 def test_diameter_dilation_homogeneity():
@@ -117,25 +115,27 @@ def test_diameter_dilation_homogeneity():
         Box((-1.0, 0.0), (2.0, 1.0)),
         Ball((0.2, 0.1), 1.3),
         BallUnion((Ball((-2.0, 0.0), 0.5), Ball((2.0, 0.0), 1.0))),
+        BallUnion((Ball((-2.0,), 0.5), Ball((2.0,), 1.0))),
+        lshape_mask(0.25),
     ]
     for dom in shapes:
         for r in (0.5, 2.0, 3.7):
-            assert diameter(dilate(dom, r)) == pytest.approx(r * diameter(dom), rel=1e-12)
+            assert dom.dilate(r).diameter() == pytest.approx(r * dom.diameter(), rel=1e-12)
 
 
 def test_dilate_shapes():
-    assert dilate(interval(-1.0, 1.0), 2.0).intervals == ((-2.0, 2.0),)
-    b = dilate(Ball((0.0,), 1.0), 3.0)
+    assert interval(-1.0, 1.0).dilate(2.0).intervals == ((-2.0, 2.0),)
+    b = Ball((0.0,), 1.0).dilate(3.0)
     assert b.center == (0.0,) and b.radius == 3.0
 
 
 def test_inscribed_radius_exact_shapes():
-    r, c = inscribed_radius(interval(-1.0, 1.0))
+    r, c = interval(-1.0, 1.0).inscribed_radius()
     assert r == pytest.approx(1.0) and c[0] == pytest.approx(0.0)
-    r, c = inscribed_radius(Box((-1.0, -1.0), (1.0, 1.0)))
+    r, c = Box((-1.0, -1.0), (1.0, 1.0)).inscribed_radius()
     assert r == pytest.approx(1.0) and np.allclose(c, 0.0)
     two = BallUnion((Ball((-4.0, 0.0), 1.0), Ball((4.0, 0.0), 1.0)))
-    r, c = inscribed_radius(two)
+    r, c = two.inscribed_radius()
     assert r == pytest.approx(1.0)
     assert abs(c[0]) == pytest.approx(4.0)
 
@@ -151,7 +151,7 @@ def lshape_mask(h: float):
 
 def test_inscribed_ball_validity_on_raster():
     dom = lshape_mask(0.05)
-    r, c = inscribed_radius(dom)
+    r, c = dom.inscribed_radius()
     assert r > 0.3  # the L has arms of width 1, so a decent ball must fit
     rng = np.random.default_rng(99)
     # rejection-sample 100 points in the returned ball, all must lie in the domain
@@ -164,11 +164,54 @@ def test_inscribed_ball_validity_on_raster():
     assert contains(dom, pts).all()
 
 
+def test_raster_measurements_keep_memory_flat():
+    r, c = lshape_mask(0.05).inscribed_radius()
+    # the result of the one-shot (unblocked) computation, bit for bit
+    assert r == 0.5750000000000001 and c.tolist() == [-0.42499999999999993] * 2
+    dom = lshape_mask(0.025)  # 4800 inside cells, 1600 empty ones
+    for measure in (dom.inscribed_radius, dom.diameter):
+        tracemalloc.start()
+        try:
+            measure()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, measure.__name__
+
+
+EVERY_KIND = [
+    pytest.param(IntervalUnion(((-2.0, -0.5), (0.5, 1.0))), id="intervals-1d"),
+    pytest.param(Ball((0.3,), 1.0), id="ball-1d"),
+    pytest.param(Ball((0.3, -0.2), 0.9), id="ball-2d"),
+    pytest.param(Box((-1.0,), (0.5,)), id="box-1d"),
+    pytest.param(Box((-1.0, 0.0), (2.0, 1.0)), id="box-2d"),
+    pytest.param(BallUnion((Ball((-2.0,), 0.5), Ball((2.0,), 1.0))), id="balls-1d"),
+    pytest.param(BallUnion((Ball((-2.0, 0.0), 0.5), Ball((2.0, 0.0), 1.0))), id="balls-2d"),
+    pytest.param(RasterMask(np.array([0, 1, 1, 0, 1, 1, 1, 0], dtype=bool), 0.25, (-1.0,)), id="mask-1d"),
+    pytest.param(lshape_mask(0.25), id="mask-2d"),
+]
+
+
+@pytest.mark.parametrize("dom", EVERY_KIND)
+def test_every_kind_carries_consistent_geometry(dom):
+    grid = rasterize(dom, 0.05)
+    assert dom.d == grid.d
+    lo, hi = dom.bounding_box()
+    assert np.all((grid.centers >= lo) & (grid.centers <= hi))
+    assert contains(dom, grid.centers).all()
+    r, c = dom.inscribed_radius()
+    assert r > 0.0 and contains(dom, c).all()
+    assert dom.dilate(2.0).inscribed_radius()[0] == pytest.approx(2.0 * r, rel=1e-12)
+    for factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            dom.dilate(factor)
+
+
 def test_raster_diameter_is_conservative():
     dom = lshape_mask(0.05)
     # true diameter of the L-shape is the square's corner distance
-    assert diameter(dom) >= 2.0 * math.sqrt(2.0) - 1e-9
-    assert diameter(dom) <= 2.0 * math.sqrt(2.0) + 0.2
+    assert dom.diameter() >= 2.0 * math.sqrt(2.0) - 1e-9
+    assert dom.diameter() <= 2.0 * math.sqrt(2.0) + 0.2
 
 
 def test_mask_roundtrip_2d(tmp_path):
@@ -203,6 +246,10 @@ def test_mask_format_errors(tmp_path):
     bad.write_text("1 0.5 3\n102\n")
     with pytest.raises(MaskFormatError):
         load_mask(bad)
+    for h in ("nan", "inf"):
+        bad.write_text(f"2 {h} 3 3\n111\n111\n111\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_mask(bad)
 
 
 def test_domain_validation():
@@ -216,6 +263,9 @@ def test_domain_validation():
         Box((0.0, 0.0), (1.0, -1.0))
     with pytest.raises(ValueError):
         BallUnion((Ball((0.0,), 1.0), Ball((1.5,), 1.0)))  # overlap
+    for h in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            RasterMask(np.ones(3, dtype=bool), h)
     # touching endpoints are disjoint as open sets
     IntervalUnion(((-1.0, 0.0), (0.0, 1.0)))
 
