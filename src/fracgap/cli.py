@@ -280,8 +280,13 @@ def cmd_solve(cfg: dict) -> int:
 
 def _exact_center_value(domain: Domain, p: StableParams) -> float | None:
     """Exact max exit time, attained at the center, when the domain is a ball
-    (or a single interval) of radius r: r^alpha times the unit-ball constant."""
-    if isinstance(domain, Ball) or (isinstance(domain, IntervalUnion) and len(domain.intervals) == 1):
+    (or a single interval, or a 1D box) of radius r: r^alpha times the
+    unit-ball constant."""
+    if (
+        isinstance(domain, Ball)
+        or (isinstance(domain, IntervalUnion) and len(domain.intervals) == 1)
+        or (isinstance(domain, Box) and domain.d == 1)
+    ):
         r, _ = domain.inscribed_radius()
         return r**p.alpha * ball_exit_constant(p)
     return None

@@ -443,6 +443,8 @@ def load_mask(path) -> RasterMask:
         raise MaskFormatError(f"bad header line {lines[0]!r}") from exc
     if d not in (1, 2) or len(ns) != d:
         raise MaskFormatError(f"header {lines[0]!r} inconsistent with d = {d}")
+    if min(ns) < 1:
+        raise MaskFormatError(f"header {lines[0]!r} has a cell count below 1")
     body = lines[1:]
 
     def parse_row(row: str, width: int) -> np.ndarray:

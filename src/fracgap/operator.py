@@ -18,18 +18,25 @@ stores only the table, kill and the diagonal; `apply` computes W x as the
 table's even extension convolved with x placed in the box, by a zero-padded
 real FFT of about twice the box size (O(N log N) for N box cells), and the
 diagonal's row sums are that convolution applied to ones. `weights` and
-`matrix` gather the dense n x n arrays on demand, for the small-n oracles.
+`matrix` gather the dense n x n arrays on demand, for the small-n oracles,
+and refuse more than MAX_DENSE_NODES cells.
 
 kill_i is the table summed over the outside cells of the lattice box, so a
 nearest neighbor outside feeds the self-cell coefficient into kill (the
 Dirichlet condition for the second difference), plus the mass beyond the
-box: closed form in 1D, and in 2D a polar quadrature with the radial
-integral exact and Gauss-Legendre in the angle, split at the box corner
-directions.
+box. The outside sum is an exact pair sum in 1D and the same FFT
+convolution applied to the outside indicator in 2D. The mass beyond the box
+is in closed form in 1D; in 2D a polar quadrature with the radial integral
+exact and Gauss-Legendre in the angle, split at the box corner directions.
 
 Exit times solve H s = 1 (or its restriction to a node subset) by conjugate
-gradients on `apply` with a Jacobi preconditioner. The Green/harmonic split
-stays dense and Cholesky-based: it is the reference the tests compare with.
+gradients on `apply`, preconditioned by the circulant that the padded FFT
+already diagonalizes: M = mean(diag) - W extended circulantly over the
+padded box, restricted to the inside cells. Its symbol is mean(diag) minus
+the table's symbol, clamped below at min(kill), so M is SPD and costs one
+FFT pair per iteration (Chan & Ng, SIAM Review 1996; Lei & Sun, J. Comput.
+Phys. 2013). The Green/harmonic split stays dense and Cholesky-based: it is
+the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -49,20 +56,25 @@ __all__ = [
     "AssemblyError",
     "SolveError",
     "assemble",
+    "solve",
     "exit_time",
     "sup_exit_time",
     "dynkin_decomposition",
 ]
 
-MAX_DENSE_NODES = 5000  # cap of the dense oracles and the 1D eigensolver; ~70x70 cells in 2D
+MAX_DENSE_NODES = 5000  # cap of the n x n oracles (weights, matrix, dynkin, survival); ~70x70 cells in 2D
 NEAR_RANGE = 2  # Chebyshev index distance treated with subdivided quadrature
 SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
 # tail below 1e-12 relative even for cells hugging a box corner
 TAIL_ANGULAR_POINTS = 32
-GATHER_BLOCK = 2**18  # table entries gathered at once when summing kill over outside cells
+GATHER_BLOCK = 2**18  # table entries gathered at once (1D kill, blocked rows of W)
 CG_RTOL = 1e-14  # on the recursively updated residual, relative to the right-hand side
-CG_MAX_ITER = 10_000  # 1D alpha = 1.7 at n = 4000 needs ~2600
+# circulant PCG iterations measured (Jacobi needed up to ~10^4): 6-11 on the
+# suite's 1D domains and 8-21 on its 2D ones (alpha 0.5-1.5), 9 / 11 on the
+# interval at n = 4000 (alpha 1 / 1.7), 13 at n = 20000 (alpha 1.7), 17 on
+# the disk at n = 31428 (alpha 1)
+CG_MAX_ITER = 10_000
 
 
 class AssemblyError(RuntimeError):
@@ -77,17 +89,20 @@ class SolveError(RuntimeError):
 class KilledOperator:
     """Jump rates between inside cells, as one offset table, plus per-cell killing rates.
 
-    `diag` (row sums of W plus kill) is derived on construction, together
-    with the FFT symbol of the table that `apply` uses.
+    `kill` is derived on construction from the table, the inside cells and
+    `beyond` (the killing rate to beyond the lattice box), and so are `diag`
+    (row sums of W plus kill) and the FFT symbol of the table that `apply`
+    and `precondition` use.
     """
 
     table: np.ndarray
-    kill: np.ndarray
+    beyond: np.ndarray
     h: float
     alpha: float
     d: int
     centers: np.ndarray
     index: np.ndarray
+    kill: np.ndarray = field(init=False, repr=False)
     diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,27 +119,61 @@ class KilledOperator:
         ]
         even = np.pad(self.table, [(0, 1)] * self.d)[np.ix_(*folded)]
         self._symbol = np.fft.rfftn(even).real  # real: the extension is even
+        outside = np.ones(self.table.shape, dtype=bool)
+        outside[self._cells] = False
+        if self.d == 1:
+            # exact pair sum: an FFT loses up to 1.4e-10 relative here at alpha = 1.7
+            blocks = _gather_blocks(self.table, self.index, np.argwhere(outside))
+            near = np.concatenate([w.sum(axis=1) for _, w in blocks])
+        else:
+            near = self._convolve(outside, self._symbol)
+        self.kill = near + self.beyond
         self.diag = self._jumps(np.ones(self.n)) + self.kill
+        # inverse eigenvalues of the circulant mean(diag) - W on the padded box;
+        # the clamp at min(kill) keeps it positive definite
+        self._inv_circulant = 1.0 / np.maximum(self.diag.mean() - self._symbol, self.kill.min())
 
     @property
     def n(self) -> int:
-        return len(self.kill)
+        return len(self.index)
 
     @property
     def weights(self) -> np.ndarray:
         """Dense W, gathered from the table on every access (n x n)."""
+        if self.n > MAX_DENSE_NODES:
+            raise ValueError(
+                f"operator has {self.n} inside cells; the dense matrix is capped at "
+                f"MAX_DENSE_NODES = {MAX_DENSE_NODES}, choose a coarser h"
+            )
         return _gather(self.table, self.index, self.index)
+
+    def weight_blocks(self):
+        """Yield (rows, W[rows]) over row slices of about GATHER_BLOCK entries; any n."""
+        return _gather_blocks(self.table, self.index, self.index)
+
+    def _convolve(self, box: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """A lattice-box array, zero-padded to the FFT shape and multiplied by
+        spectrum in frequency, read at the inside cells."""
+        spec = np.fft.rfftn(box, s=self._fft_shape, axes=self._axes) * spectrum
+        return np.fft.irfftn(spec, s=self._fft_shape, axes=self._axes)[self._cells]
+
+    def _scatter(self, x: np.ndarray) -> np.ndarray:
+        box = np.zeros(self.table.shape)
+        box[self._cells] = x
+        return box
 
     def _jumps(self, x: np.ndarray) -> np.ndarray:
         """W x: x placed in the lattice box, convolved with the table's even extension."""
-        box = np.zeros(self.table.shape)
-        box[self._cells] = x
-        spec = np.fft.rfftn(box, s=self._fft_shape, axes=self._axes) * self._symbol
-        return np.fft.irfftn(spec, s=self._fft_shape, axes=self._axes)[self._cells]
+        return self._convolve(self._scatter(x), self._symbol)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x without forming H."""
         return self.diag * x - self._jumps(x)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r for the circulant M = mean(diag) - (W's circulant extension) on
+        the padded box, restricted to the inside cells: one FFT pair, SPD."""
+        return self._convolve(self._scatter(r), self._inv_circulant)
 
     def matrix(self) -> np.ndarray:
         """Dense H = diag - W; symmetric positive definite."""
@@ -232,44 +281,39 @@ def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return table[tuple(offsets)]
 
 
-def _gather_row_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row sums of _gather(table, rows, cols), built a block of rows at a time."""
-    step = max(1, GATHER_BLOCK // len(cols))
-    return np.concatenate(
-        [_gather(table, rows[i : i + step], cols).sum(axis=1) for i in range(0, len(rows), step)]
-    )
+def _gather_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield (slice, _gather(table, rows[slice], cols)) a block of about GATHER_BLOCK entries at a time."""
+    step = max(1, GATHER_BLOCK // max(1, len(cols)))
+    for i in range(0, len(rows), step):
+        block = slice(i, i + step)
+        yield block, _gather(table, rows[block], cols)
 
 
 def assemble(grid: Grid, alpha: float) -> KilledOperator:
     """Build the discrete killed generator for the given grid and index alpha."""
-    if grid.n > MAX_DENSE_NODES:
-        raise ValueError(
-            f"grid has {grid.n} inside cells; dense assembly is capped at {MAX_DENSE_NODES}, "
-            "choose a coarser h"
-        )
     if grid.d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
     a_norm = norm_constant(StableParams(alpha, grid.d))
     table = _kernel_table(grid.dims, grid.h, alpha, a_norm)
+    if not np.isfinite(table).all() or (table < 0.0).any():
+        raise AssemblyError("negative or non-finite jump weight")
     lo, hi = grid.box()
     if grid.d == 1:
         tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
     else:
         tail = _tail_2d(grid.centers, lo, hi, alpha)
-    kill = _gather_row_sums(table, grid.index, np.argwhere(~grid.inside)) + a_norm * tail
-    if not np.isfinite(table).all() or (table < 0.0).any():
-        raise AssemblyError("negative or non-finite jump weight")
-    if not np.isfinite(kill).all() or (kill <= 0.0).any():
-        raise AssemblyError("killing rates must be positive and finite")
-    return KilledOperator(
+    op = KilledOperator(
         table=table,
-        kill=kill,
+        beyond=a_norm * tail,
         h=grid.h,
         alpha=alpha,
         d=grid.d,
         centers=grid.centers.copy(),
         index=grid.index.copy(),
     )
+    if not np.isfinite(op.kill).all() or (op.kill <= 0.0).any():
+        raise AssemblyError("killing rates must be positive and finite")
+    return op
 
 
 def _chol(H: np.ndarray):
@@ -279,15 +323,15 @@ def _chol(H: np.ndarray):
         raise SolveError("operator matrix is not positive definite") from exc
 
 
-def _pcg(apply, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD system apply(x) = b by conjugate gradients, Jacobi-preconditioned.
+def _pcg(apply, precondition, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD system apply(x) = b by preconditioned conjugate gradients.
 
     Written out instead of calling scipy.sparse.linalg.cg so that exit-time
     runs do not import scipy.sparse (about 4 MB of resident memory).
     """
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     stop = CG_RTOL * float(np.linalg.norm(b))
@@ -301,15 +345,20 @@ def _pcg(apply, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
         r -= step * q
         if np.linalg.norm(r) <= stop:
             return x
-        z = r / diag
+        z = precondition(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
     raise SolveError(f"conjugate gradients did not converge in {CG_MAX_ITER} iterations")
 
 
+def solve(op: KilledOperator, b: np.ndarray) -> np.ndarray:
+    """H x = b by conjugate gradients with the circulant preconditioner."""
+    return _pcg(op.apply, op.precondition, b)
+
+
 def exit_time(op: KilledOperator) -> ExitTimeField:
     """Solve H s = 1; s_i is the expected exit time started from cell i."""
-    s = _pcg(op.apply, op.diag, np.ones(op.n))
+    s = solve(op, np.ones(op.n))
     if (s <= 0.0).any():
         raise SolveError("exit time field is not strictly positive")
     return ExitTimeField(values=s)
@@ -331,12 +380,17 @@ def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
     """Max expected exit time of the operator restricted to the given nodes."""
     u = _subset_indices(op, subset)
 
-    def apply_u(y: np.ndarray) -> np.ndarray:
-        x = np.zeros(op.n)
-        x[u] = y
-        return op.apply(x)[u]
+    def on_u(f):
+        """f acting on vectors over U: extend by zero, apply, read back on U."""
 
-    return float(_pcg(apply_u, op.diag[u], np.ones(len(u))).max())
+        def restricted(y: np.ndarray) -> np.ndarray:
+            x = np.zeros(op.n)
+            x[u] = y
+            return f(x)[u]
+
+        return restricted
+
+    return float(_pcg(on_u(op.apply), on_u(op.precondition), np.ones(len(u))).max())
 
 
 def dynkin_decomposition(

@@ -1,26 +1,26 @@
 """Eigenpairs of the discrete killed generator and the machinery built on them.
 
 Covers: the low spectrum with a fixed deterministic sign convention (dense
-LAPACK `eigh` on small grids, ARPACK Lanczos on the operator's FFT apply
-above a measured size crossover), the
-spectral gap, the weighted nonlocal Dirichlet form that the ground-state
-transform turns the gap into (exact in finite dimensions), the
-antisymmetrized double-sum normalization check, the half-maximum level set
-of the ground state with its exit-time sandwich, and the discrete survival
-function of the killed semigroup.
+LAPACK `eigh` on small grids; above a measured size crossover ARPACK on the
+matrix-free operator, plain Lanczos on its FFT apply in 2D and shift-invert
+with circulant-PCG solves in 1D), the spectral gap, the weighted nonlocal
+Dirichlet form that the ground-state transform turns the gap into (exact in
+finite dimensions, summed over blocks of rows), the antisymmetrized
+double-sum normalization check (in O(n)), the half-maximum level set of the
+ground state with its exit-time sandwich, and the discrete survival
+function of the killed semigroup (dense, capped like the other oracles).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, LinAlgError
 
 from .constants import StableParams, ball_exit_constant, unit_ball_volume
-from .operator import KilledOperator, SolveError, sup_exit_time
+from .operator import KilledOperator, SolveError, solve, sup_exit_time
 
 __all__ = [
     "EigenSolution",
@@ -35,14 +35,17 @@ __all__ = [
     "export_eigenpairs_csv",
 ]
 
-# Smallest n at which eigenpairs switches from dense eigh to Lanczos, per d.
-# Measured for k = 6 on 2 cores (seconds, eigh / Lanczos, at alpha 0.5, 1, 1.5):
-# 2D n = 644: 0.022/0.026, 0.023/0.041, 0.035/0.042; n = 873: 0.043/0.040,
-# 0.044/0.037, 0.049/0.062; n = 1264: 0.14/0.043, 0.15/0.070, 0.17/0.078.
-# In 1D the spectrum spreads as n^alpha, not n^(alpha/2), and Lanczos loses
-# at alpha = 1.5 for every n under the cap (n = 2400: 0.85 s against 11.9 s),
-# so 1D stays dense.
-LANCZOS_MIN_NODES = {1: math.inf, 2: 1000}
+# Smallest n at which eigenpairs leaves dense eigh for ARPACK: plain Lanczos
+# on op.apply in 2D, shift-invert with circulant-PCG inner solves in 1D.
+# Measured for k = 6 on 2 cores (seconds, eigh / ARPACK):
+# 2D n = 644: 0.022/0.026, 0.023/0.041, 0.035/0.042 (alpha 0.5, 1, 1.5);
+# n = 873: 0.043/0.040, 0.044/0.037, 0.049/0.062; n = 1264: 0.14/0.043,
+# 0.15/0.070, 0.17/0.078. 1D: n = 800 0.04/0.06-0.12, n = 1200
+# 0.11/0.07-0.10, n = 4000 3.7-4.6/0.24-0.31. Plain Lanczos loses in 1D (the
+# spectrum spreads as n^alpha, not n^(alpha/2)); shift-invert loses in 2D
+# (4.4-5.2x slower than plain Lanczos at n = 4003, alpha 0.5-1.7; 4.4x and
+# 2.5x at n = 31428, alpha 1 and 1.7).
+LANCZOS_MIN_NODES = 1000
 LANCZOS_MAX_RESTARTS = 1000  # ARPACK restarts; the disk at n = 4003 needs ~20
 EIG_RESIDUAL_TOL = 1e-8  # bound on max_j ||H phi_j - lambda_j phi_j|| / lambda_j
 
@@ -90,8 +93,9 @@ def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise SolveError("eigensolver failed to converge; reduce the grid size") from exc
 
 
-def _lanczos(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs by implicitly restarted Lanczos (ARPACK) on op.apply."""
+def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs by implicitly restarted Lanczos (ARPACK): on op.apply,
+    or with shift_invert on H^-1 applied by circulant-preconditioned CG."""
     # imported here: it adds ~4 MB, and only solves above the crossover need it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -99,8 +103,13 @@ def _lanczos(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     # antisymmetric eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n)
     H = LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
+    if shift_invert:
+        inverse = LinearOperator((op.n, op.n), matvec=lambda b: solve(op, b), dtype=float)
+        mode = {"sigma": 0.0, "OPinv": inverse}
+    else:
+        mode = {"which": "SA"}
     try:
-        vals, vecs = eigsh(H, k=k, which="SA", tol=0, v0=v0, maxiter=LANCZOS_MAX_RESTARTS)
+        vals, vecs = eigsh(H, k=k, tol=0, v0=v0, maxiter=LANCZOS_MAX_RESTARTS, **mode)
     except ArpackError as exc:
         raise SolveError(f"Lanczos eigensolver failed: {exc}") from exc
     order = np.argsort(vals, kind="stable")
@@ -110,17 +119,19 @@ def _lanczos(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
 def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
     """k smallest eigenvalues of H with deterministically signed eigenvectors.
 
-    Dense eigh below LANCZOS_MIN_NODES[d] inside cells, Lanczos on the
-    matrix-free apply from there on (unless k is within 1 of n). Either way every pair must satisfy
+    Dense eigh below LANCZOS_MIN_NODES inside cells (or when k is within 1
+    of n); from there on ARPACK on the matrix-free operator, plain Lanczos in
+    2D and shift-invert in 1D. Either way every pair must satisfy
     ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if k > op.n:
         raise ValueError(f"k = {k} exceeds the number of nodes {op.n}")
-    # ARPACK needs k < n - 1
-    solve = _lanczos if LANCZOS_MIN_NODES[op.d] <= op.n and k < op.n - 1 else _dense_eigh
-    vals, vecs = solve(op, k)
+    if op.n < LANCZOS_MIN_NODES or k >= op.n - 1:  # ARPACK needs k < n - 1
+        vals, vecs = _dense_eigh(op, k)
+    else:
+        vals, vecs = _lanczos(op, k, shift_invert=op.d == 1)
     if vals[0] <= 0.0:
         raise SolveError("lowest eigenvalue is not positive; assembly bug")
     if not vals[1] > vals[0]:
@@ -170,18 +181,22 @@ def variational_energy(op: KilledOperator, f: np.ndarray, phi1: np.ndarray) -> f
     if nrm2 <= 1e-300:
         return 0.0
     f = f / np.sqrt(nrm2)
-    df = f[:, None] - f[None, :]
-    return 0.5 * hd * float(phi1 @ ((op.weights * df**2) @ phi1))
+    rows = np.concatenate(
+        [(w * (f[block, None] - f[None, :]) ** 2) @ phi1 for block, w in op.weight_blocks()]
+    )
+    return 0.5 * hd * float(phi1 @ rows)
 
 
 def orthogonality_identity_check(sol: EigenSolution) -> float:
     """Double sum of (phi_2(x) phi_1(y) - phi_2(y) phi_1(x))^2 h^(2d).
 
     Equals 2 for any orthonormal pair; this is the normalization that turns
-    the kernel-free part of the gap bound into an explicit constant.
+    the kernel-free part of the gap bound into an explicit constant. Expanded,
+    the double sum is 2 (|a|^2 |b|^2 - (a.b)^2) for a = phi_2, b = phi_1: O(n).
     """
-    outer = np.outer(sol.phis[:, 1], sol.phis[:, 0])
-    return float(np.sum((outer - outer.T) ** 2)) * sol.h ** (2 * sol.d)
+    a = sol.phis[:, 1]
+    b = sol.phis[:, 0]
+    return 2.0 * (float(a @ a) * float(b @ b) - float(a @ b) ** 2) * sol.h ** (2 * sol.d)
 
 
 def level_set_report(sol: EigenSolution, op: KilledOperator) -> LevelSetReport:

@@ -54,7 +54,7 @@ def test_ground_state_sup_bound_square():
 def test_ball_bound_interval(interval_solution):
     domain, _, _, sol = interval_solution
     p = StableParams(1.0, 1)
-    lhs, rhs, ok = verify_ball_bound(sol, domain, p)
+    lhs, rhs, ok = verify_ball_bound(sol, domain.inscribed_radius()[0], p)
     assert ok
     assert rhs == pytest.approx(3.0 * math.pi / 8.0, rel=1e-12)
     assert lhs > 1.0
@@ -64,8 +64,8 @@ def test_ball_bound_scaling_under_dilation():
     p = StableParams(1.0, 1)
     _, _, sol1 = solve_domain(interval(-1.0, 1.0), 1.0, 0.01)
     _, _, sol2 = solve_domain(interval(-2.0, 2.0), 1.0, 0.01)
-    _, rhs1, _ = verify_ball_bound(sol1, interval(-1.0, 1.0), p)
-    _, rhs2, _ = verify_ball_bound(sol2, interval(-2.0, 2.0), p)
+    _, rhs1, _ = verify_ball_bound(sol1, interval(-1.0, 1.0).inscribed_radius()[0], p)
+    _, rhs2, _ = verify_ball_bound(sol2, interval(-2.0, 2.0).inscribed_radius()[0], p)
     assert rhs2 == pytest.approx(rhs1 / 2.0, rel=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_ball_bound_disk():
     domain = Ball((0.0, 0.0), 1.0)
     _, _, sol = solve_domain(domain, 1.0, 0.1)
     p = StableParams(1.0, 2)
-    lhs, rhs, ok = verify_ball_bound(sol, domain, p)
+    lhs, rhs, ok = verify_ball_bound(sol, domain.inscribed_radius()[0], p)
     assert ok
     assert rhs == pytest.approx(2.0 * math.pi / 3.0, rel=1e-12)
 

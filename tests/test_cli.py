@@ -166,6 +166,16 @@ def test_exit_time_exact_value_on_shifted_balls(tmp_path, capsys, centred, shift
     assert reports[1]["center_rel_err"] < 0.01
 
 
+def test_exit_time_exact_value_on_1d_box(tmp_path, capsys):
+    reports = []
+    for i, domain in enumerate(("interval:-1,1", "box:-1,1")):
+        code, out = run_cli(capsys, "exit-time", "--domain", domain, "--h", "0.01", "--out", str(tmp_path / str(i)))
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[1]["exact_center_value"] == pytest.approx(1.0, rel=1e-12)
+    assert reports[1]["center_rel_err"] == reports[0]["center_rel_err"]
+
+
 def test_mc_command_deterministic(tmp_path, capsys, schema):
     argv = [
         "mc",

@@ -246,6 +246,9 @@ def test_mask_format_errors(tmp_path):
     bad.write_text("1 0.5 3\n102\n")
     with pytest.raises(MaskFormatError):
         load_mask(bad)
+    bad.write_text("2 0.1 -3 3\n111\n111\n111\n")
+    with pytest.raises(MaskFormatError, match="cell count"):
+        load_mask(bad)
     for h in ("nan", "inf"):
         bad.write_text(f"2 {h} 3 3\n111\n111\n111\n")
         with pytest.raises(ValueError, match="finite"):

@@ -213,8 +213,19 @@ def test_disk_assembly_and_exit_time():
 
 def test_node_cap_enforced():
     grid = rasterize(interval(-1.0, 1.0), 0.0002)  # 10000 inside cells
-    with pytest.raises(ValueError):
-        assemble(grid, 1.0)
+    op = assemble(grid, 1.0)  # the cap guards only the dense oracles
+    with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
+        op.matrix()
+
+
+def test_dense_oracles_refuse_above_cap():
+    from fracgap.spectra import survival_profile
+
+    _, op = interval_op(-1.0, 1.0, 0.0002)  # 10000 inside cells
+    with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
+        dynkin_decomposition(op, np.arange(10), np.ones(op.n))
+    with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
+        survival_profile(op, 0, np.array([1.0]))
 
 
 def test_square_residual_on_disk_profile():
@@ -328,3 +339,23 @@ def test_cg_without_convergence_raises(monkeypatch):
         exit_time(op)
     with pytest.raises(SolveError, match="did not converge"):
         sup_exit_time(op, np.arange(op.n // 2))
+
+
+def test_circulant_pcg_converges_in_few_iterations(monkeypatch):
+    # ~11 iterations with the circulant preconditioner; a diagonal (Jacobi) one needs ~2500
+    _, op = interval_op(-1.0, 1.0, 5e-4, alpha=1.7)
+    monkeypatch.setattr(operator, "CG_MAX_ITER", 50)
+    s = exit_time(op).values
+    resid = op.apply(s) - 1.0  # relative to the size of the terms apply cancels
+    assert np.abs(resid).max() <= 1e-13 * float((op.diag * s).max())
+    u = np.flatnonzero(s >= s.max() / 2.0)
+    assert sup_exit_time(op, u) <= s.max()
+
+
+def test_precondition_is_symmetric_positive_definite(suite_ops):
+    rng = np.random.default_rng(3)
+    for label, op in suite_ops:
+        x, y = rng.standard_normal((2, op.n))
+        mx, my = op.precondition(x), op.precondition(y)
+        assert float(y @ mx) == pytest.approx(float(x @ my), rel=1e-12), label
+        assert float(x @ mx) > 0.0, label

@@ -197,7 +197,7 @@ def test_lanczos_matches_dense_eigh(alpha):
     k = 6
     for label, dom, h in suite_domains(h1d=0.02, h2d=0.1):
         op = assemble(rasterize(dom, h), alpha)
-        assert op.n < spectra.LANCZOS_MIN_NODES[op.d]  # the helper is called below its crossover
+        assert op.n < spectra.LANCZOS_MIN_NODES  # the helper is called below its crossover
         want, want_vecs = eigh(op.matrix(), subset_by_index=(0, k))
         got, vecs = _lanczos(op, k)
         assert (np.abs(got - want[:k]) <= 1e-11 * want[:k]).all(), label
@@ -211,7 +211,7 @@ def test_lanczos_matches_dense_eigh(alpha):
 @pytest.fixture(scope="module")
 def disk_lanczos_op():
     op = assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.05), 1.0)
-    assert op.n >= spectra.LANCZOS_MIN_NODES[2]
+    assert op.n >= spectra.LANCZOS_MIN_NODES
     return op
 
 
@@ -248,3 +248,16 @@ def test_eigen_residual_above_bound_raises(h, monkeypatch):
     monkeypatch.setattr(spectra, "EIG_RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="eigen-residual"):
         eigenpairs(op, 3)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("n", [1200, 4000])
+def test_shift_invert_matches_dense_eigh_1d(n, alpha):
+    op = assemble(rasterize(interval(-1.0, 1.0), 2.0 / n), alpha)
+    assert op.n == n >= spectra.LANCZOS_MIN_NODES  # eigenpairs takes the 1D shift-invert path
+    sol = eigenpairs(op, 6)
+    want = eigh(op.matrix(), subset_by_index=(0, 5), eigvals_only=True)
+    assert (np.abs(sol.lambdas - want) <= 1e-10 * want).all()
+    again = eigenpairs(op, 6)
+    assert np.array_equal(sol.lambdas, again.lambdas)
+    assert np.array_equal(sol.phis, again.phis)
