@@ -68,12 +68,14 @@ SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
 # tail below 1e-12 relative even for cells hugging a box corner
 TAIL_ANGULAR_POINTS = 32
-GATHER_BLOCK = 2**18  # table entries gathered at once (1D kill, blocked rows of W)
+# table entries gathered at once (1D kill, blocked rows of W); also the
+# quadrature nodes per block of points in the 2D beyond-box tail
+GATHER_BLOCK = 2**18
 CG_RTOL = 1e-14  # on the recursively updated residual, relative to the right-hand side
-# circulant PCG iterations measured (Jacobi needed up to ~10^4): 6-11 on the
-# suite's 1D domains and 8-21 on its 2D ones (alpha 0.5-1.5), 9 / 11 on the
-# interval at n = 4000 (alpha 1 / 1.7), 13 at n = 20000 (alpha 1.7), 17 on
-# the disk at n = 31428 (alpha 1)
+# circulant PCG iterations measured: 6-11 on the suite's 1D domains and 8-21
+# on its 2D ones (alpha 0.5-1.5), 9 / 11 on the interval at n = 4000
+# (alpha 1 / 1.7), 13 at n = 20000 (alpha 1.7), 17 on the disk at n = 31428
+# (alpha 1)
 CG_MAX_ITER = 10_000
 
 
@@ -92,7 +94,8 @@ class KilledOperator:
     `kill` is derived on construction from the table, the inside cells and
     `beyond` (the killing rate to beyond the lattice box), and so are `diag`
     (row sums of W plus kill) and the FFT symbol of the table that `apply`
-    and `precondition` use.
+    and `precondition` use. Raises AssemblyError unless every killing rate is
+    positive and finite.
     """
 
     table: np.ndarray
@@ -126,8 +129,12 @@ class KilledOperator:
             blocks = _gather_blocks(self.table, self.index, np.argwhere(outside))
             near = np.concatenate([w.sum(axis=1) for _, w in blocks])
         else:
+            # within 1e-11 relative of the pair sum at alpha = 1.7 up to n ~ 4000
+            # (tested); 3.2e-12 measured at n = 31428
             near = self._convolve(outside, self._symbol)
         self.kill = near + self.beyond
+        if not np.isfinite(self.kill).all() or (self.kill <= 0.0).any():
+            raise AssemblyError("killing rates must be positive and finite")
         self.diag = self._jumps(np.ones(self.n)) + self.kill
         # inverse eigenvalues of the circulant mean(diag) - W on the padded box;
         # the clamp at min(kill) keeps it positive definite
@@ -221,8 +228,20 @@ def _tail_2d(
     int_rho^inf r^(-1-alpha) dr = rho^(-alpha)/alpha, leaving the angular
     integral of rho(theta)^(-alpha). rho has kinks only at the directions of
     the box corners, so the circle is split there and each of the four
-    smooth segments gets a Gauss-Legendre rule.
+    smooth segments gets a Gauss-Legendre rule. Points are independent, so
+    they go in blocks of about GATHER_BLOCK quadrature nodes: the temporaries
+    stay a few MB at any n.
     """
+    step = max(1, GATHER_BLOCK // (4 * n_gl))
+    return np.concatenate(
+        [_tail_2d_block(pts[i : i + step], lo, hi, alpha, n_gl) for i in range(0, len(pts), step)]
+    )
+
+
+def _tail_2d_block(
+    pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float, n_gl: int
+) -> np.ndarray:
+    """_tail_2d on one block of points."""
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
     rel = corners[None, :, :] - pts[:, None, :]
     ang = np.sort(np.arctan2(rel[:, :, 1], rel[:, :, 0]), axis=1)
@@ -302,7 +321,7 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
         tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
     else:
         tail = _tail_2d(grid.centers, lo, hi, alpha)
-    op = KilledOperator(
+    return KilledOperator(
         table=table,
         beyond=a_norm * tail,
         h=grid.h,
@@ -311,9 +330,6 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
         centers=grid.centers.copy(),
         index=grid.index.copy(),
     )
-    if not np.isfinite(op.kill).all() or (op.kill <= 0.0).any():
-        raise AssemblyError("killing rates must be positive and finite")
-    return op
 
 
 def _chol(H: np.ndarray):

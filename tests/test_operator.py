@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fracgap.bounds import suite_domains
 from fracgap.constants import StableParams, ball_exit_constant, norm_constant
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import (
+    AssemblyError,
     SolveError,
     _tail_1d,
     _tail_2d,
@@ -198,6 +201,47 @@ def test_tail_matches_brute_force_quadrature():
     # brute force misses the mass beyond the sampled extent, ~2*pi/extent
     missing = 2.0 * math.pi / extent
     assert got == pytest.approx(brute + missing, rel=5e-3)
+
+
+def test_tail_2d_blocks_are_bitwise_equal(monkeypatch):
+    grid = rasterize(Ball((0.0, 0.0), 1.0), 0.05)
+    lo, hi = grid.box()
+    monkeypatch.setattr(operator, "GATHER_BLOCK", 10**9)  # one block
+    whole = _tail_2d(grid.centers, lo, hi, 1.3)
+    monkeypatch.setattr(operator, "GATHER_BLOCK", 4 * operator.TAIL_ANGULAR_POINTS * 7)
+    blocked = _tail_2d(grid.centers, lo, hi, 1.3)  # 7 points per block
+    assert np.array_equal(whole, blocked)
+
+
+def test_assembly_memory_stays_bounded_on_large_disk():
+    # n = 49080: an unblocked polar tail alone would hold ~7 arrays of n x 128
+    # doubles (~350 MB); blocked, the traced peak is ~17 MB
+    grid = rasterize(Ball((0.0, 0.0), 1.0), 0.008)
+    tracemalloc.start()
+    try:
+        op = assemble(grid, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.n == 49080
+    assert peak <= 48 * 2**20
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.7])
+def test_fft_kill_matches_pair_sum_2d(alpha):
+    grid = rasterize(Ball((0.0, 0.0), 1.0), 0.03)
+    op = assemble(grid, alpha)
+    assert 1000 <= op.n <= 4000
+    blocks = operator._gather_blocks(op.table, op.index, np.argwhere(~grid.inside))
+    want = np.concatenate([w.sum(axis=1) for _, w in blocks]) + op.beyond
+    assert (np.abs(op.kill - want) / want).max() <= 1e-11
+
+
+def test_kill_checked_on_construction():
+    _, op = interval_op(-1.0, 1.0, 0.05)
+    for beyond in (np.full(op.n, np.nan), -op.kill):  # non-finite, then negative
+        with pytest.raises(AssemblyError, match="killing rates"):
+            dataclasses.replace(op, beyond=beyond)
 
 
 def test_disk_assembly_and_exit_time():
