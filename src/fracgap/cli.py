@@ -247,6 +247,7 @@ def _level_set_json(rep) -> dict:
         "sup_bound_ok": rep.sup_bound_ok,
         "volume_lower_rhs": rep.volume_lower_rhs,
         "volume_bound_ok": rep.volume_bound_ok,
+        "volume_ratio": rep.volume_ratio,
     }
 
 
@@ -418,6 +419,8 @@ def cmd_mc(cfg: dict) -> int:
         "mc_slope_vs_grid_lambda1": None
         if (grid_lambda1 is None or slope is None)
         else abs(-slope - grid_lambda1) / grid_lambda1,
+        "increments_drawn": est.increments_drawn,
+        "useful_ratio": est.useful_ratio,
         "files": {"survival": str(surv_path)},
     }
     json_path = out / "mc_report.json"

@@ -3,14 +3,17 @@
 Increments over a step dt are exact in distribution: in 1D by the
 Chambers-Mallows-Stuck transform for the symmetric stable law, in 2D by
 running a Brownian displacement at a one-sided stable subordinator time, so
-the characteristic function is exp(-dt |z|^alpha) in both cases. Paths are
+the characteristic function is exp(-dt |z|^alpha) in both cases. Each
+increment is a fixed transform of k uniforms (k = 1 in 1D at alpha = 1, 2
+for other 1D alphas, 4 in 2D). Paths are
 walked on the time lattice dt, so excursions that leave and re-enter between
 checks are missed; the resulting bias on exit times is upward and shrinks
 with dt.
 
-Every path owns an independent random stream keyed by (seed, path index),
-which makes all estimates reproducible bit for bit regardless of how paths
-are scheduled.
+Every path owns an independent random stream keyed by (seed, path index)
+and draws only uniforms from it, k per step, so its exit time is a function
+of (config, seed, path index) alone: bit for bit the same however paths are
+scheduled, blocked or chunked.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "StableSamplerConfig",
     "ExitEstimate",
     "PathBudgetError",
+    "increments_from_uniforms",
     "sample_stable_increment",
     "estimate_exit",
     "survival_comparison",
@@ -33,8 +37,9 @@ __all__ = [
 ]
 
 MAX_STEPS = 10**6
-_FIRST_CHUNK = 1024
-_MAX_CHUNK = 8192
+# paths walked together, and steps per round; exit times do not depend on either
+_BLOCK = 128
+_CHUNK = 128
 
 
 class PathBudgetError(RuntimeError):
@@ -59,10 +64,20 @@ class StableSamplerConfig:
         if self.paths < 1000:
             raise ValueError("need at least 1000 paths")
 
+    @property
+    def uniforms_per_increment(self) -> int:
+        if self.d == 2:
+            return 4
+        return 1 if self.alpha == 1.0 else 2
+
 
 @dataclass
 class ExitEstimate:
-    """Sample mean of the exit time with a 95% CI and the survival table."""
+    """Sample mean of the exit time with a 95% CI and the survival table.
+
+    increments_drawn counts every increment sampled, including those past a
+    path's exit in its last round; useful_ratio is the share that was walked.
+    """
 
     mean_exit_time: float
     ci_halfwidth: float
@@ -70,32 +85,62 @@ class ExitEstimate:
     survival: np.ndarray
     survival_ci: np.ndarray
     paths: int
+    increments_drawn: int
+    useful_ratio: float
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
 
 
-def _symmetric_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    if alpha == 1.0:
-        return np.tan(u)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(alpha * u)
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
+def _log_sin(x: np.ndarray) -> np.ndarray:
+    """log sin x on (0, pi) from t = tan(x/2), avoiding the scalar libm sin."""
+    t = np.tan(0.5 * x)
+    return np.log(2.0 * t) - np.log1p(t * t)
 
 
-def _one_sided_stable(rho: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Positive stable variable with Laplace transform exp(-u^rho), 0 < rho < 1."""
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
-    a = (np.sin(rho * theta) ** rho * np.sin((1.0 - rho) * theta) ** (1.0 - rho) / np.sin(theta)) ** (
-        1.0 / (1.0 - rho)
-    )
-    return (a / w) ** ((1.0 - rho) / rho)
+def increments_from_uniforms(cfg: StableSamplerConfig, dt: float, u: np.ndarray) -> np.ndarray:
+    """Map uniforms of shape (n, k) in [0, 1) to increments over dt, shape (n, d).
+
+    k is cfg.uniforms_per_increment; each row gives one increment whose
+    characteristic function is exp(-dt |z|^alpha).
+
+    1D: Chambers-Mallows-Stuck. 2D: Brownian motion with variance 2t per axis
+    run at dt^(2/alpha) S, S one-sided (alpha/2)-stable by Kanter's formula,
+    in polar form: radius 2 dt^(1/alpha) sqrt(S E') with E' exponential, and
+    the direction from a Cauchy variate c as ((1 - c^2), 2c) / (1 + c^2).
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != cfg.uniforms_per_increment:
+        raise ValueError(f"need uniforms of shape (n, {cfg.uniforms_per_increment}), got {u.shape}")
+    # 0 would give sin(0)/0 or a zero exponential; u + 2^-54 would round
+    # 1 - 2^-53 up to 1, so the floor keeps every uniform inside (0, 1)
+    u = np.maximum(u.T, 2.0**-54, order="C")
+    alpha = cfg.alpha
+    scale = dt ** (1.0 / alpha)
+    if cfg.d == 1:
+        v = np.pi * (u[0] - 0.5)
+        if alpha == 1.0:
+            x = np.tan(v)
+        else:
+            w = -np.log1p(-u[1])
+            x = np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * v) / w) ** (
+                (1.0 - alpha) / alpha
+            )
+        return (scale * x)[:, None]
+    rho = alpha / 2.0
+    theta = np.pi * u[0]
+    log_s = (
+        rho * _log_sin(rho * theta)
+        + (1.0 - rho) * _log_sin((1.0 - rho) * theta)
+        - _log_sin(theta)
+        - (1.0 - rho) * np.log(-np.log1p(-u[1]))
+    ) / rho
+    radius = 2.0 * scale * np.exp(0.5 * (log_s + np.log(-np.log1p(-u[2]))))
+    c = np.tan(np.pi * (u[3] - 0.5))
+    c2 = c * c
+    radius /= 1.0 + c2
+    return np.stack([radius * (1.0 - c2), radius * (2.0 * c)], axis=-1)
 
 
 def sample_stable_increment(
@@ -108,32 +153,41 @@ def sample_stable_increment(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = 1 if size is None else int(size)
-    if cfg.d == 1:
-        out = dt ** (1.0 / cfg.alpha) * _symmetric_stable_1d(cfg.alpha, rng, m)
-        out = out[:, None]
-    else:
-        # Brownian motion with variance 2t per axis, run at an (alpha/2)-stable time
-        s = dt ** (2.0 / cfg.alpha) * _one_sided_stable(cfg.alpha / 2.0, rng, m)
-        out = np.sqrt(2.0 * s)[:, None] * rng.standard_normal((m, 2))
+    out = increments_from_uniforms(cfg, dt, rng.random((m, cfg.uniforms_per_increment)))
     return out[0] if size is None else out
 
 
-def _walk_exit_time(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, path: int) -> float:
-    rng = _path_rng(cfg.seed, path)
-    pos = x0.copy()
-    steps_done = 0
-    chunk = _FIRST_CHUNK
-    while steps_done < MAX_STEPS:
-        inc = sample_stable_increment(cfg, cfg.delta, rng, size=chunk)
-        traj = pos + np.cumsum(inc, axis=0)
-        outside = ~contains(domain, traj)
-        if outside.any():
-            k = int(np.argmax(outside))
-            return (steps_done + k + 1) * cfg.delta
-        pos = traj[-1]
-        steps_done += chunk
-        chunk = min(2 * chunk, _MAX_CHUNK)
-    raise PathBudgetError(f"path {path} exceeded {MAX_STEPS} steps")
+def _walk_block(
+    cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, first: int, exit_steps: np.ndarray
+) -> int:
+    """Walk paths first, first + 1, ... in lockstep rounds of _CHUNK steps.
+
+    Fills exit_steps with the step at which each path is first outside and
+    returns the number of increments drawn. Positions are summed one step
+    at a time, so neither the round length nor the block changes a bit.
+    """
+    rngs = [_path_rng(cfg.seed, first + i) for i in range(len(exit_steps))]
+    live = np.arange(len(exit_steps))
+    pos = np.repeat(x0[None, :], len(live), axis=0)
+    done = drawn = 0
+    while live.size:
+        c = min(_CHUNK, MAX_STEPS - done)
+        if c <= 0:
+            raise PathBudgetError(f"path {first + int(live[0])} exceeded {MAX_STEPS} steps")
+        u = np.empty((live.size, c, cfg.uniforms_per_increment))
+        for row, i in enumerate(live):
+            rngs[i].random(out=u[row])
+        traj = increments_from_uniforms(cfg, cfg.delta, u.reshape(-1, u.shape[2])).reshape(live.size, c, cfg.d)
+        traj[:, 0] += pos
+        np.cumsum(traj, axis=1, out=traj)
+        outside = ~contains(domain, traj.reshape(-1, cfg.d)).reshape(live.size, c)
+        left = outside.any(axis=1)
+        exit_steps[live[left]] = done + 1 + np.argmax(outside[left], axis=1)
+        pos = traj[~left, -1]
+        live = live[~left]
+        done += c
+        drawn += u.shape[0] * c
+    return drawn
 
 
 def estimate_exit(
@@ -149,9 +203,11 @@ def estimate_exit(
         raise ValueError(f"starting point needs {cfg.d} coordinates, got {x0.size}")
     if not contains(domain, x0[None, :])[0]:
         raise ValueError("starting point must lie inside the domain")
-    taus = np.empty(cfg.paths)
-    for pth in range(cfg.paths):
-        taus[pth] = _walk_exit_time(cfg, domain, x0, pth)
+    exit_steps = np.empty(cfg.paths, dtype=np.int64)
+    drawn = 0
+    for first in range(0, cfg.paths, _BLOCK):
+        drawn += _walk_block(cfg, domain, x0, first, exit_steps[first : first + _BLOCK])
+    taus = exit_steps * cfg.delta
     mean = float(taus.mean())
     ci = 1.96 * float(taus.std(ddof=1)) / math.sqrt(cfg.paths)
     if ts is None:
@@ -166,6 +222,8 @@ def estimate_exit(
         survival=surv,
         survival_ci=surv_ci,
         paths=cfg.paths,
+        increments_drawn=drawn,
+        useful_ratio=int(exit_steps.sum()) / drawn,
     )
 
 

@@ -82,7 +82,8 @@ class LevelSetReport:
     sup_bound_rhs: float  # 2 / sqrt(measure); sup_phi1 <= this holds exactly
     sup_bound_ok: bool
     volume_lower_rhs: float  # C0 * sup_exit^(d/alpha), isoperimetric volume bound
-    volume_bound_ok: bool
+    volume_bound_ok: bool  # no discretization slack: the bound is an equality for balls
+    volume_ratio: float  # measure / volume_lower_rhs; near 1 on near-ball level sets
 
 
 def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,6 +228,7 @@ def level_set_report(sol: EigenSolution, op: KilledOperator) -> LevelSetReport:
         sup_bound_ok=bool(m <= sup_rhs),
         volume_lower_rhs=float(vol_rhs),
         volume_bound_ok=bool(measure >= vol_rhs),
+        volume_ratio=float(measure / vol_rhs),
     )
 
 

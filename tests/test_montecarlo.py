@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from fracgap.geometry import IntervalUnion, interval
+import fracgap.montecarlo as mc
+from fracgap.geometry import Ball, IntervalUnion, interval
 from fracgap.montecarlo import (
     StableSamplerConfig,
     estimate_exit,
+    increments_from_uniforms,
     sample_stable_increment,
     survival_comparison,
     survival_log_slope,
@@ -36,7 +39,7 @@ def test_characteristic_function_1d():
     assert abs(np.cos(x).mean() - math.exp(-1.0)) <= 0.01
 
 
-@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4, 1.7])
 def test_characteristic_function_1d_alphas(alpha):
     rng = np.random.default_rng(202)
     dt = 0.7
@@ -46,7 +49,7 @@ def test_characteristic_function_1d_alphas(alpha):
         assert abs(np.cos(z * x).mean() - target) <= 0.01
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.2])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.7])
 def test_characteristic_function_2d(alpha):
     rng = np.random.default_rng(303)
     x = sample_stable_increment(cfg(alpha=alpha, d=2), 1.0, rng, size=100000)
@@ -77,6 +80,64 @@ def test_single_increment_shape():
     rng = np.random.default_rng(1)
     one = sample_stable_increment(cfg(d=2), 0.5, rng)
     assert one.shape == (2,)
+    with pytest.raises(ValueError, match=r"shape \(n, 4\)"):
+        increments_from_uniforms(cfg(d=2), 0.5, np.full((3, 2), 0.5))
+
+
+class _CornerUniforms:
+    """Stands in for a Generator: every row is one corner of [0, 1 - 2^-53]^k."""
+
+    def random(self, shape):
+        m, k = shape
+        corners = np.array(np.meshgrid(*[[0.0, 1.0 - 2.0**-53]] * k, indexing="ij")).reshape(k, -1).T
+        return np.resize(corners, (m, k))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
+def test_increments_finite_at_uniform_endpoints(alpha, d):
+    # rng.random can return exactly 0; u + 2^-54 would round 1 - 2^-53 up to 1
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x = sample_stable_increment(cfg(alpha=alpha, d=d), 1e-3, _CornerUniforms(), size=16)
+    assert x.shape == (16, d)
+    assert np.isfinite(x).all()
+
+
+def _exit_steps(c, domain, x0):
+    steps = np.empty(c.paths, dtype=np.int64)
+    for first in range(0, c.paths, mc._BLOCK):
+        mc._walk_block(c, domain, x0, first, steps[first : first + mc._BLOCK])
+    return steps
+
+
+@pytest.mark.parametrize("block, chunk", [(1, 1), (7, 333)])
+@pytest.mark.parametrize("alpha, d", [(1.0, 1), (1.3, 1), (1.3, 2)])
+def test_exit_times_independent_of_block_and_chunk(monkeypatch, alpha, d, block, chunk):
+    c = cfg(alpha=alpha, d=d, delta=0.1, seed=21, paths=1000)
+    domain = interval(-1.0, 1.0) if d == 1 else Ball((0.0, 0.0), 1.0)
+    x0 = np.zeros(d)
+    ref_steps, ref = _exit_steps(c, domain, x0), estimate_exit(c, domain, x0)
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    assert np.array_equal(_exit_steps(c, domain, x0), ref_steps)
+    est = estimate_exit(c, domain, x0)
+    assert est.mean_exit_time == ref.mean_exit_time
+    assert est.ci_halfwidth == ref.ci_halfwidth
+    assert np.array_equal(est.ts, ref.ts)
+    assert np.array_equal(est.survival, ref.survival)
+
+
+def test_increments_drawn_counts_whole_rounds(monkeypatch):
+    c = cfg(delta=0.05, seed=22, paths=1000)
+    domain = interval(-1.0, 1.0)
+    steps = _exit_steps(c, domain, np.zeros(1))
+    est = estimate_exit(c, domain, 0.0)
+    rounds = -(-steps // mc._CHUNK)
+    assert est.increments_drawn == int(rounds.sum()) * mc._CHUNK
+    assert est.useful_ratio == int(steps.sum()) / est.increments_drawn
+    monkeypatch.setattr(mc, "_CHUNK", 1)
+    assert estimate_exit(c, domain, 0.0).useful_ratio == 1.0
 
 
 def test_estimate_exit_interval():

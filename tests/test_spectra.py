@@ -152,6 +152,8 @@ def test_level_set_report_interval(interval_run):
     assert 0.45 <= rep.sandwich <= 2.1
     assert rep.sup_bound_ok
     assert rep.sup_phi1 <= rep.sup_bound_rhs
+    assert rep.volume_ratio == rep.measure / rep.volume_lower_rhs
+    assert rep.volume_bound_ok == (rep.volume_ratio >= 1.0)
     phi1 = sol.phis[:, 0]
     assert (phi1[rep.node_indices] >= rep.sup_phi1 / 2.0).all()
     assert len(rep.node_indices) > 0
