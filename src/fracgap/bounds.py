@@ -12,7 +12,6 @@ pipeline formula.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ __all__ = [
     "run_suite",
     "suite_passed",
     "write_suite_csv",
-    "write_reports_json",
     "solve_domain",
 ]
 
@@ -82,30 +80,6 @@ class BoundReport:
     published_value: float | None = None
     published_mismatch: bool | None = None
     verdicts: dict[str, bool] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": "bound_report",
-            "label": self.label,
-            "alpha": self.alpha,
-            "d": self.d,
-            "h": self.h,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "gap": self.gap,
-            "sup_phi1": self.sup_phi1,
-            "diam": self.diam,
-            "inscribed_r": self.inscribed_r,
-            "thm1_rhs": self.thm1_rhs,
-            "thm2_rhs_stated": self.thm2_rhs_stated,
-            "thm2_rhs_derived": self.thm2_rhs_derived,
-            "prop_rhs": self.prop_rhs,
-            "prop_slack": self.prop_slack,
-            "published_value": self.published_value,
-            "published_mismatch": self.published_mismatch,
-            "verdicts": dict(self.verdicts),
-        }
-        return out
 
 
 def verify_ground_state_sup(sol: EigenSolution, p: StableParams) -> tuple[float, float, bool]:
@@ -153,18 +127,17 @@ def rayleigh_exit_profile_check(
     return quotient, lambda1_upper_ball(p, r)
 
 
+# (label, alpha) -> (the canonical domain of the label, published gap bound)
 _PUBLISHED = {
-    ("interval", 1.0): 1.0 / (3.0 * math.pi**2),
-    ("disk", 1.0): 3.0 / (256.0 * math.sqrt(math.pi)),
-    ("square", 1.0): 3.0 / (512.0 * math.sqrt(2.0 * math.pi)),
+    ("interval", 1.0): (interval(-1.0, 1.0), 1.0 / (3.0 * math.pi**2)),
+    ("disk", 1.0): (Ball((0.0, 0.0), 1.0), 3.0 / (256.0 * math.sqrt(math.pi))),
+    ("square", 1.0): (geometry.Box((-1.0, -1.0), (1.0, 1.0)), 3.0 / (512.0 * math.sqrt(2.0 * math.pi))),
 }
 
-_CANONICAL_DIAM = {"interval": 2.0, "disk": 2.0, "square": 2.0 * math.sqrt(2.0)}
 
-
-def _canonical_pipeline_value(label: str, p: StableParams) -> float:
+def _canonical_pipeline_value(domain: Domain, p: StableParams) -> float:
     """Stated-constant gap bound with lambda_1 replaced by the r = 1 ball bound."""
-    return gap_lower_bound(p, lambda1_upper_ball(p, 1.0), _CANONICAL_DIAM[label], "stated")
+    return gap_lower_bound(p, lambda1_upper_ball(p, 1.0), domain.diameter(), "stated")
 
 
 def canonical_published_cases() -> list[dict]:
@@ -176,17 +149,16 @@ def canonical_published_cases() -> list[dict]:
     -1 instead and therefore differ; the mismatch is flagged, never patched.
     """
     cases = []
-    for label, d in (("interval", 1), ("disk", 2), ("square", 2)):
-        p = StableParams(1.0, d)
-        pipeline = _canonical_pipeline_value(label, p)
-        published = _PUBLISHED[(label, 1.0)]
+    for (label, alpha), (domain, published) in _PUBLISHED.items():
+        p = StableParams(alpha, domain.d)
+        pipeline = _canonical_pipeline_value(domain, p)
         cases.append(
             {
                 "label": label,
-                "alpha": 1.0,
-                "d": d,
+                "alpha": alpha,
+                "d": p.d,
                 "lambda1_bound": lambda1_upper_ball(p, 1.0),
-                "diam": _CANONICAL_DIAM[label],
+                "diam": domain.diameter(),
                 "pipeline_stated": pipeline,
                 "published_value": published,
                 "published_mismatch": not math.isclose(pipeline, published, rel_tol=1e-9),
@@ -212,12 +184,15 @@ def build_report(
     thm2_derived = gap_lower_bound(p, lam1, diam, "derived")
     r_in, _ = domain.inscribed_radius()
     prop_lhs, prop_rhs, prop_ok = verify_ball_bound(sol, r_in, p, prop_slack_per_h)
-    published = _PUBLISHED.get((label, p.alpha))
+    # a published value belongs to its label's canonical domain only
+    canonical, published = _PUBLISHED.get((label, p.alpha), (None, None))
     mismatch = None
-    if published is not None:
+    if domain != canonical:
+        published = None
+    else:
         # the flag documents the formula-level disagreement (lambda_1 exponent),
         # evaluated at the canonical inputs rather than the computed lambda_1
-        mismatch = not math.isclose(_canonical_pipeline_value(label, p), published, rel_tol=1e-9)
+        mismatch = not math.isclose(_canonical_pipeline_value(domain, p), published, rel_tol=1e-9)
     return BoundReport(
         label=label,
         alpha=p.alpha,
@@ -274,20 +249,6 @@ class TwoBallResult:
     slope: float
     intercept: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "two_ball_report",
-            "separations": self.separations,
-            "gaps": self.gaps,
-            "lambda1s": self.lambda1s,
-            "upper_bounds": self.upper_bounds,
-            "lower_bounds": self.lower_bounds,
-            "reference_decay": self.reference_decay,
-            "lambda1_single": self.lambda1_single,
-            "slope": self.slope,
-            "intercept": self.intercept,
-        }
-
 
 def _two_component_domain(r: float, d: int) -> Domain:
     if d == 1:
@@ -301,9 +262,7 @@ def _single_component_domain(d: int) -> Domain:
     return Ball((0.0, 0.0), 1.0)
 
 
-def two_ball_experiment(
-    separations: Sequence[float], p: StableParams, h: float, k: int = 2
-) -> TwoBallResult:
+def two_ball_experiment(separations: Sequence[float], p: StableParams, h: float) -> TwoBallResult:
     """Gap of two far-apart unit components versus separation, with a decay fit.
 
     For each half-separation r the two components sit at +-r. The fitted
@@ -327,7 +286,7 @@ def two_ball_experiment(
         if min(halves.sum(), (~halves).sum()) < 20:
             raise GridTooCoarseError(f"component at separation {r} has fewer than 20 cells")
         op = assemble(grid, p.alpha)
-        sol = eigenpairs(op, max(2, k))
+        sol = eigenpairs(op, 2)
         gap = spectral_gap(sol)
         f = np.where(halves, 1.0, -1.0)
         upper = variational_energy(op, f, sol.phis[:, 0])
@@ -431,9 +390,3 @@ def write_suite_csv(reports: Sequence[BoundReport], path) -> None:
                     repr(r.gap / r.thm2_rhs_derived),
                 ]
             )
-
-
-def write_reports_json(reports: Sequence[BoundReport], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-        fh.write("\n")

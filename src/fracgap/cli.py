@@ -1,6 +1,11 @@
 """Command-line front end: single computations, the verification suite, and
 the canonical experiments, with JSON/CSV reports.
 
+Every JSON report is built by `_report`: its kind, then the fields of the
+result dataclasses it reports, then command-specific extras. `_emit` is the one
+writer of JSON text, to stdout and to the report file under --out; `_write_csv`
+writes the CSV tables.
+
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
 the seed and the worker count) at a fixed BLAS thread count: identical
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -204,11 +210,27 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _emit(obj: dict, path: Path | None = None) -> None:
-    text = json.dumps(obj, indent=2)
-    print(text)
+def _report(kind: str, *results, **extra) -> dict:
+    """A JSON report: its kind, the fields of each result dataclass, then extra."""
+    fields = {key: val for res in results for key, val in dataclasses.asdict(res).items()}
+    return {"kind": kind, **fields, **extra}
+
+
+def _emit(obj: dict, path: Path | None = None, stdout: bool = True) -> None:
+    """Write obj as indented JSON text to stdout and, given a path, to that file."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if stdout:
+        sys.stdout.write(text)
     if path is not None:
-        path.write_text(text + "\n")
+        path.write_text(text)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a CSV table; each float as repr(float(x)), which reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,38 +239,9 @@ def _emit(obj: dict, path: Path | None = None) -> None:
 
 def cmd_constants(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], cfg["dim"])
-    c = bound_constants(p)
-    report = {
-        "kind": "constants_report",
-        "alpha": p.alpha,
-        "d": p.d,
-        "a_norm": c.a_norm,
-        "c_sup": c.c_sup,
-        "c_gap_stated": c.c_gap_stated,
-        "c_gap_derived": c.c_gap_derived,
-        "c_var": c.c_var,
-        "s_ball_center": c.s_ball_center,
-        "ball_bound_r1": lambda1_upper_ball(p, 1.0),
-    }
-    path = _out_dir(cfg) / "constants.json" if cfg["out"] else None
-    _emit(report, path)
+    report = _report("constants_report", p, bound_constants(p), ball_bound_r1=lambda1_upper_ball(p, 1.0))
+    _emit(report, _out_dir(cfg) / "constants.json" if cfg["out"] else None)
     return EXIT_OK
-
-
-def _level_set_json(rep) -> dict:
-    return {
-        "kind": "level_set_report",
-        "sup_phi1": rep.sup_phi1,
-        "size": int(len(rep.node_indices)),
-        "measure": rep.measure,
-        "sup_exit": rep.sup_exit,
-        "sandwich": rep.sandwich,
-        "sup_bound_rhs": rep.sup_bound_rhs,
-        "sup_bound_ok": rep.sup_bound_ok,
-        "volume_lower_rhs": rep.volume_lower_rhs,
-        "volume_bound_ok": rep.volume_bound_ok,
-        "volume_ratio": rep.volume_ratio,
-    }
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -256,26 +249,23 @@ def cmd_solve(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], domain.d)
     grid, op, sol = bounds.solve_domain(domain, p.alpha, cfg["h"], k=cfg["k"])
     label = cfg["label"] or cfg["domain"].partition(":")[0]
-    report = bounds.build_report(sol, domain, p, label, cfg["prop_slack"])
-    lrep = level_set_report(sol, op)
-    out = _out_dir(cfg)
-    eig_path = out / "eigenpairs.csv"
-    export_eigenpairs_csv(sol, op, eig_path)
-    files = {"eigenpairs": str(eig_path)}
-    bound_path = out / "bound_report.json"
-    bound_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    files["bound_report"] = str(bound_path)
-    ls_path = out / "level_set.json"
-    ls_path.write_text(json.dumps(_level_set_json(lrep), indent=2) + "\n")
-    files["level_set"] = str(ls_path)
-    _emit(
-        {
-            "kind": "solve_report",
-            "bound_report": report.to_json_dict(),
-            "level_set": _level_set_json(lrep),
-            "files": files,
-        }
+    bound = _report("bound_report", bounds.build_report(sol, domain, p, label, cfg["prop_slack"]))
+    # the level set's nodes are reported by their count, in the same place
+    level_set = dict(
+        ("size", len(val)) if key == "node_indices" else (key, val)
+        for key, val in _report("level_set_report", level_set_report(sol, op)).items()
     )
+    out = _out_dir(cfg)
+    paths = {
+        "eigenpairs": out / "eigenpairs.csv",
+        "bound_report": out / "bound_report.json",
+        "level_set": out / "level_set.json",
+    }
+    export_eigenpairs_csv(sol, op, paths["eigenpairs"])
+    _emit(bound, paths["bound_report"], stdout=False)
+    _emit(level_set, paths["level_set"], stdout=False)
+    files = {name: str(path) for name, path in paths.items()}
+    _emit(_report("solve_report", bound_report=bound, level_set=level_set, files=files))
     return EXIT_OK
 
 
@@ -301,27 +291,21 @@ def cmd_exit_time(cfg: dict) -> int:
     field = exit_time(op)
     out = _out_dir(cfg)
     csv_path = out / "exit_time.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", *(f"x{k+1}" for k in range(op.d)), "s"])
-        for i in range(op.n):
-            writer.writerow(
-                [i, *(repr(float(c)) for c in op.centers[i]), repr(float(field.values[i]))]
-            )
+    rows = ([i, *c, s] for i, (c, s) in enumerate(zip(op.centers.tolist(), field.values.tolist())))
+    _write_csv(csv_path, ["node", *(f"x{k+1}" for k in range(op.d)), "s"], rows)
     exact = _exact_center_value(domain, p)
     max_s = float(field.values.max())
     _emit(
-        {
-            "kind": "exit_time_report",
-            "alpha": p.alpha,
-            "d": p.d,
-            "h": cfg["h"],
-            "n": op.n,
-            "max_exit_time": max_s,
-            "exact_center_value": exact,
-            "center_rel_err": None if exact is None else abs(max_s - exact) / exact,
-            "files": {"exit_time": str(csv_path)},
-        }
+        _report(
+            "exit_time_report",
+            p,
+            h=cfg["h"],
+            n=op.n,
+            max_exit_time=max_s,
+            exact_center_value=exact,
+            center_rel_err=None if exact is None else abs(max_s - exact) / exact,
+            files={"exit_time": str(csv_path)},
+        )
     )
     return EXIT_OK
 
@@ -345,16 +329,15 @@ def cmd_suite(cfg: dict) -> int:
     csv_path = out / "suite.csv"
     bounds.write_suite_csv(reports, csv_path)
     json_path = out / "suite.json"
-    report = {
-        "kind": "suite_report",
-        "passed": bool(passed),
-        "asserted_variant": cfg["variant"],
-        "reports": [r.to_json_dict() for r in reports],
-        "two_ball": two_ball.to_json_dict(),
-        "files": {"csv": str(csv_path), "json": str(json_path)},
-    }
-    json_path.write_text(json.dumps(report, indent=2) + "\n")
-    _emit(report)
+    report = _report(
+        "suite_report",
+        passed=bool(passed),
+        asserted_variant=cfg["variant"],
+        reports=[_report("bound_report", r) for r in reports],
+        two_ball=_report("two_ball_report", two_ball),
+        files={"csv": str(csv_path), "json": str(json_path)},
+    )
+    _emit(report, json_path)
     return EXIT_OK if passed else EXIT_VERDICT
 
 
@@ -363,13 +346,12 @@ def cmd_two_ball(cfg: dict) -> int:
     res = bounds.two_ball_experiment(cfg["separations"], p, cfg["h"])
     out = _out_dir(cfg) if cfg["out"] else None
     if out is not None:
-        csv_path = out / "two_ball.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["separation", "gap", "lambda1", "upper_bound", "lower_bound", "reference_decay"])
-            for row in zip(res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay):
-                writer.writerow([repr(v) for v in row])
-    _emit(res.to_json_dict(), out / "two_ball.json" if out is not None else None)
+        _write_csv(
+            out / "two_ball.csv",
+            ["separation", "gap", "lambda1", "upper_bound", "lower_bound", "reference_decay"],
+            zip(res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay),
+        )
+    _emit(_report("two_ball_report", res), out / "two_ball.json" if out is not None else None)
     return EXIT_OK
 
 
@@ -398,34 +380,28 @@ def cmd_mc(cfg: dict) -> int:
         grid_exit = float(exit_time(op).values[node])
     out = _out_dir(cfg)
     surv_path = out / "survival.csv"
-    with open(surv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "survival", "ci"])
-        for t, s, ci in zip(est.ts, est.survival, est.survival_ci):
-            writer.writerow([repr(float(t)), repr(float(s)), repr(float(ci))])
-    report = {
-        "kind": "mc_report",
-        "alpha": alpha,
-        "d": d,
-        "delta": sampler.delta,
-        "paths": sampler.paths,
-        "seed": sampler.seed,
-        "mean_exit_time": est.mean_exit_time,
-        "ci_halfwidth": est.ci_halfwidth,
-        "survival_log_slope": slope,
-        "grid_lambda1": grid_lambda1,
-        "grid_mean_exit_at_start": grid_exit,
-        "mc_vs_grid_exit_delta": None if grid_exit is None else est.mean_exit_time - grid_exit,
-        "mc_slope_vs_grid_lambda1": None
+    _write_csv(surv_path, ["t", "survival", "ci"], zip(est.ts, est.survival, est.survival_ci))
+    report = _report(
+        "mc_report",
+        alpha=alpha,
+        d=d,
+        delta=sampler.delta,
+        paths=sampler.paths,
+        seed=sampler.seed,
+        mean_exit_time=est.mean_exit_time,
+        ci_halfwidth=est.ci_halfwidth,
+        survival_log_slope=slope,
+        grid_lambda1=grid_lambda1,
+        grid_mean_exit_at_start=grid_exit,
+        mc_vs_grid_exit_delta=None if grid_exit is None else est.mean_exit_time - grid_exit,
+        mc_slope_vs_grid_lambda1=None
         if (grid_lambda1 is None or slope is None)
         else abs(-slope - grid_lambda1) / grid_lambda1,
-        "increments_drawn": est.increments_drawn,
-        "useful_ratio": est.useful_ratio,
-        "files": {"survival": str(surv_path)},
-    }
-    json_path = out / "mc_report.json"
-    json_path.write_text(json.dumps(report, indent=2) + "\n")
-    _emit(report)
+        increments_drawn=est.increments_drawn,
+        useful_ratio=est.useful_ratio,
+        files={"survival": str(surv_path)},
+    )
+    _emit(report, out / "mc_report.json")
     return EXIT_OK
 
 

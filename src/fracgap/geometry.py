@@ -42,6 +42,9 @@ __all__ = [
 # before any per-cell array exists
 MAX_LATTICE_CELLS = 2**20
 
+# layers of outside cells that rasterize lays around the bounding box
+PAD_CELLS = 2
+
 # (points x cells) pairs a raster measurement handles at once, to keep memory flat
 _PAIR_BLOCK = 2**18
 
@@ -360,10 +363,10 @@ def _lattice_centers(origin: np.ndarray, dims: Sequence[int], h: float) -> np.nd
     return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
-def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
+def rasterize(dom: Domain, h: float) -> Grid:
     """Lay a uniform grid over the domain; a cell is inside iff its center is.
 
-    The lattice covers the domain's bounding box plus pad_cells extra layers
+    The lattice covers the domain's bounding box plus PAD_CELLS extra layers
     of outside cells on every side. The grid origin is bbox_lo minus the
     padding, so domains whose boundaries align with multiples of h tile
     exactly.
@@ -373,18 +376,16 @@ def rasterize(dom: Domain, h: float, pad_cells: int = 2) -> Grid:
     diam = dom.diameter()
     if h > diam / 4.0:
         raise ValueError(f"h = {h} too coarse for a domain of diameter {diam}")
-    if pad_cells < 1:
-        raise ValueError("need at least one layer of outside cells")
     lo, hi = dom.bounding_box()
     ncore = np.ceil((hi - lo) / h - 1e-9)
-    cells = math.prod(float(n) + 2 * pad_cells for n in ncore)
+    cells = math.prod(float(n) + 2 * PAD_CELLS for n in ncore)
     if cells > MAX_LATTICE_CELLS:
         raise ValueError(
             f"h = {h} needs a lattice of {cells:.3g} cells, more than {MAX_LATTICE_CELLS}; "
             "choose a coarser h"
         )
-    dims = tuple(int(n) + 2 * pad_cells for n in ncore)
-    origin = lo - pad_cells * h
+    dims = tuple(int(n) + 2 * PAD_CELLS for n in ncore)
+    origin = lo - PAD_CELLS * h
     inside = contains(dom, _lattice_centers(origin, dims, h)).reshape(dims)
     n_in = int(inside.sum())
     if n_in == 0:

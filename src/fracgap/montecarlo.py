@@ -40,6 +40,8 @@ MAX_STEPS = 10**6
 # paths walked together, and steps per round; exit times do not depend on either
 _BLOCK = 128
 _CHUNK = 128
+# survival probabilities the log-slope fit uses: resolvable, past the start-up transient
+SLOPE_WINDOW = (0.02, 0.5)
 
 
 class PathBudgetError(RuntimeError):
@@ -227,12 +229,12 @@ def estimate_exit(
     )
 
 
-def survival_log_slope(est: ExitEstimate, p_window: tuple[float, float] = (0.02, 0.5)) -> float:
-    """Least-squares slope of log P(tau >= t) over the window where P is resolvable.
+def survival_log_slope(est: ExitEstimate) -> float:
+    """Least-squares slope of log P(tau >= t) over SLOPE_WINDOW, where P is resolvable.
 
     For large t the slope approaches -lambda_1 of the domain.
     """
-    keep = (est.survival >= p_window[0]) & (est.survival <= p_window[1])
+    keep = (est.survival >= SLOPE_WINDOW[0]) & (est.survival <= SLOPE_WINDOW[1])
     if keep.sum() < 3:
         raise ValueError("survival table has too few usable points for a slope fit")
     slope, _ = np.polyfit(est.ts[keep], np.log(est.survival[keep]), 1)

@@ -219,9 +219,7 @@ def _tail_1d(x: np.ndarray, lo: float, hi: float, alpha: float) -> np.ndarray:
     return ((x - lo) ** (-alpha) + (hi - x) ** (-alpha)) / alpha
 
 
-def _tail_2d(
-    pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float, n_gl: int = TAIL_ANGULAR_POINTS
-) -> np.ndarray:
+def _tail_2d(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float) -> np.ndarray:
     """Integral of |x - y|^(-2-alpha) over the complement of the box [lo, hi].
 
     In polar coordinates around x the radial part is exact,
@@ -232,22 +230,20 @@ def _tail_2d(
     they go in blocks of about GATHER_BLOCK quadrature nodes: the temporaries
     stay a few MB at any n.
     """
-    step = max(1, GATHER_BLOCK // (4 * n_gl))
+    step = max(1, GATHER_BLOCK // (4 * TAIL_ANGULAR_POINTS))
     return np.concatenate(
-        [_tail_2d_block(pts[i : i + step], lo, hi, alpha, n_gl) for i in range(0, len(pts), step)]
+        [_tail_2d_block(pts[i : i + step], lo, hi, alpha) for i in range(0, len(pts), step)]
     )
 
 
-def _tail_2d_block(
-    pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float, n_gl: int
-) -> np.ndarray:
+def _tail_2d_block(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float) -> np.ndarray:
     """_tail_2d on one block of points."""
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
     rel = corners[None, :, :] - pts[:, None, :]
     ang = np.sort(np.arctan2(rel[:, :, 1], rel[:, :, 0]), axis=1)
     a = ang
     b = np.concatenate([ang[:, 1:], ang[:, :1] + 2.0 * np.pi], axis=1)
-    t, w = np.polynomial.legendre.leggauss(n_gl)
+    t, w = np.polynomial.legendre.leggauss(TAIL_ANGULAR_POINTS)
     theta = a[:, :, None] + (t + 1.0) / 2.0 * (b - a)[:, :, None]
     cos = np.cos(theta)
     sin = np.sin(theta)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -16,7 +15,6 @@ from fracgap.bounds import (
     verify_ball_bound,
     verify_ground_state_sup,
     write_suite_csv,
-    write_reports_json,
     GridTooCoarseError,
 )
 from fracgap.geometry import Ball, Box, interval
@@ -193,11 +191,6 @@ def test_suite_coarse_all_verdicts(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "domain,alpha,lambda1,lambda2,gap,thm1_margin,thm2_margin"
     assert len(lines) == 7
-    json_path = tmp_path / "suite.json"
-    write_reports_json(reports, json_path)
-    data = json.loads(json_path.read_text())
-    assert len(data) == 6
-    assert all(row["kind"] == "bound_report" for row in data)
 
 
 def test_suite_parallel_matches_serial():

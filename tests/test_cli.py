@@ -246,9 +246,53 @@ def test_suite_command(tmp_path, capsys, schema):
     validate(obj, schema, "suite_report")
     assert obj["passed"] is True
     assert len(obj["reports"]) == 6
+    published = {r["label"] for r in obj["reports"] if r["published_value"] is not None}
+    assert published == {"interval", "square", "disk"}
     csv_lines = (tmp_path / "suite.csv").read_text().splitlines()
     assert csv_lines[0] == "domain,alpha,lambda1,lambda2,gap,thm1_margin,thm2_margin"
     assert len(csv_lines) == 7
+
+
+def test_published_value_only_on_canonical_domains(tmp_path, capsys):
+    def published(*argv):
+        code, out = run_cli(capsys, "solve", *argv, "--out", str(tmp_path))
+        assert code == 0
+        return json.loads(out)["bound_report"]["published_value"]
+
+    # the labels match a published case, the domains do not
+    assert published("--domain", "interval:0,5", "--h", "0.05") is None
+    assert published("--domain", "box:0,0,3,1", "--label", "square", "--h", "0.1") is None
+    assert published("--domain", "interval:-1,1", "--h", "0.05") == pytest.approx(1.0 / (3.0 * math.pi**2), rel=1e-12)
+
+
+# command line -> {JSON file written under --out: its key in the printed report, or None for all of it}
+WRITTEN_REPORTS = {
+    "constants": (["constants", "--alpha", "1", "--dim", "2"], {"constants.json": None}),
+    "solve": (
+        ["solve", "--domain", "interval:-1,1", "--h", "0.05"],
+        {"bound_report.json": "bound_report", "level_set.json": "level_set"},
+    ),
+    "two-ball": (["two-ball", "--separations", "4,8", "--h", "0.05"], {"two_ball.json": None}),
+    "suite": (
+        ["suite", "--alphas", "1.0", "--h1d", "0.02", "--h2d", "0.1", "--separations", "4,8", "--two-ball-h", "0.05"],
+        {"suite.json": None},
+    ),
+    "mc": (["mc", "--domain", "interval:-1,1", "--delta", "0.01", "--paths", "1000"], {"mc_report.json": None}),
+}
+
+
+@pytest.mark.parametrize("command", WRITTEN_REPORTS)
+def test_written_json_is_the_printed_report(tmp_path, capsys, schema, command):
+    argv, files = WRITTEN_REPORTS[command]
+    code, out = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    printed = json.loads(out)
+    assert sorted(path.name for path in tmp_path.glob("*.json")) == sorted(files)
+    for name, key in files.items():
+        obj = printed if key is None else printed[key]
+        text = (tmp_path / name).read_text()
+        validate(json.loads(text), schema, obj["kind"])
+        assert text == json.dumps(obj, indent=2) + "\n"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
