@@ -4,7 +4,8 @@ the canonical experiments, with JSON/CSV reports.
 Every JSON report is built by `_report`: its kind, then the fields of the
 result dataclasses it reports, then command-specific extras. `_emit` is the one
 writer of JSON text, to stdout and to the report file under --out; `_write_csv`
-writes the CSV tables.
+writes the CSV tables. Without --out no command writes a file, and the reports
+that list their files list none.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
@@ -16,7 +17,6 @@ of eigenvalues, eigenvectors and exit times can change.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -34,7 +34,7 @@ from .constants import (
 )
 from .geometry import Ball, BallUnion, Box, Domain, IntervalUnion, load_mask
 from .operator import AssemblyError, SolveError, assemble, exit_time
-from .spectra import export_eigenpairs_csv, level_set_report
+from .spectra import _write_table, export_eigenpairs_csv, level_set_report
 from .montecarlo import PathBudgetError, StableSamplerConfig, estimate_exit, survival_log_slope
 
 EXIT_OK = 0
@@ -204,10 +204,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out") or ".")
+def _out_dir(cfg: dict) -> Path | None:
+    """The --out directory, created; None without --out, when nothing is written."""
+    if not cfg["out"]:
+        return None
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _listed(paths: dict[str, Path]) -> dict[str, str]:
+    """A report's `files` block: each written file by name."""
+    return {name: str(path) for name, path in paths.items()}
 
 
 def _report(kind: str, *results, **extra) -> dict:
@@ -225,12 +233,10 @@ def _emit(obj: dict, path: Path | None = None, stdout: bool = True) -> None:
         path.write_text(text)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a CSV table; each float as repr(float(x)), which reads back exactly."""
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a CSV table given column by column; each float as repr, which reads back exactly."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        _write_table(fh, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +246,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_constants(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], cfg["dim"])
     report = _report("constants_report", p, bound_constants(p), ball_bound_r1=lambda1_upper_ball(p, 1.0))
-    _emit(report, _out_dir(cfg) / "constants.json" if cfg["out"] else None)
+    out = _out_dir(cfg)
+    _emit(report, out / "constants.json" if out else None)
     return EXIT_OK
 
 
@@ -256,16 +263,17 @@ def cmd_solve(cfg: dict) -> int:
         for key, val in _report("level_set_report", level_set_report(sol, op)).items()
     )
     out = _out_dir(cfg)
-    paths = {
-        "eigenpairs": out / "eigenpairs.csv",
-        "bound_report": out / "bound_report.json",
-        "level_set": out / "level_set.json",
-    }
-    export_eigenpairs_csv(sol, op, paths["eigenpairs"])
-    _emit(bound, paths["bound_report"], stdout=False)
-    _emit(level_set, paths["level_set"], stdout=False)
-    files = {name: str(path) for name, path in paths.items()}
-    _emit(_report("solve_report", bound_report=bound, level_set=level_set, files=files))
+    paths = {}
+    if out:
+        paths = {
+            "eigenpairs": out / "eigenpairs.csv",
+            "bound_report": out / "bound_report.json",
+            "level_set": out / "level_set.json",
+        }
+        export_eigenpairs_csv(sol, op, paths["eigenpairs"])
+        _emit(bound, paths["bound_report"], stdout=False)
+        _emit(level_set, paths["level_set"], stdout=False)
+    _emit(_report("solve_report", bound_report=bound, level_set=level_set, files=_listed(paths)))
     return EXIT_OK
 
 
@@ -290,23 +298,24 @@ def cmd_exit_time(cfg: dict) -> int:
     op = assemble(grid, p.alpha)
     field = exit_time(op)
     out = _out_dir(cfg)
-    csv_path = out / "exit_time.csv"
-    rows = ([i, *c, s] for i, (c, s) in enumerate(zip(op.centers.tolist(), field.values.tolist())))
-    _write_csv(csv_path, ["node", *(f"x{k+1}" for k in range(op.d)), "s"], rows)
+    paths = {}
+    if out:
+        paths = {"exit_time": out / "exit_time.csv", "report": out / "exit_time.json"}
+        columns = [np.arange(op.n), *op.centers.T, field.values]
+        _write_csv(paths["exit_time"], ["node", *(f"x{k+1}" for k in range(op.d)), "s"], columns)
     exact = _exact_center_value(domain, p)
     max_s = float(field.values.max())
-    _emit(
-        _report(
-            "exit_time_report",
-            p,
-            h=cfg["h"],
-            n=op.n,
-            max_exit_time=max_s,
-            exact_center_value=exact,
-            center_rel_err=None if exact is None else abs(max_s - exact) / exact,
-            files={"exit_time": str(csv_path)},
-        )
+    report = _report(
+        "exit_time_report",
+        p,
+        h=cfg["h"],
+        n=op.n,
+        max_exit_time=max_s,
+        exact_center_value=exact,
+        center_rel_err=None if exact is None else abs(max_s - exact) / exact,
+        files=_listed(paths),
     )
+    _emit(report, paths.get("report"))
     return EXIT_OK
 
 
@@ -326,32 +335,33 @@ def cmd_suite(cfg: dict) -> int:
         l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps)
     )
     out = _out_dir(cfg)
-    csv_path = out / "suite.csv"
-    bounds.write_suite_csv(reports, csv_path)
-    json_path = out / "suite.json"
+    paths = {}
+    if out:
+        paths = {"csv": out / "suite.csv", "json": out / "suite.json"}
+        bounds.write_suite_csv(reports, paths["csv"])
     report = _report(
         "suite_report",
         passed=bool(passed),
         asserted_variant=cfg["variant"],
         reports=[_report("bound_report", r) for r in reports],
         two_ball=_report("two_ball_report", two_ball),
-        files={"csv": str(csv_path), "json": str(json_path)},
+        files=_listed(paths),
     )
-    _emit(report, json_path)
+    _emit(report, paths.get("json"))
     return EXIT_OK if passed else EXIT_VERDICT
 
 
 def cmd_two_ball(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], cfg["dim"])
     res = bounds.two_ball_experiment(cfg["separations"], p, cfg["h"])
-    out = _out_dir(cfg) if cfg["out"] else None
-    if out is not None:
+    out = _out_dir(cfg)
+    if out:
         _write_csv(
             out / "two_ball.csv",
             ["separation", "gap", "lambda1", "upper_bound", "lower_bound", "reference_decay"],
-            zip(res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay),
+            [res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay],
         )
-    _emit(_report("two_ball_report", res), out / "two_ball.json" if out is not None else None)
+    _emit(_report("two_ball_report", res), out / "two_ball.json" if out else None)
     return EXIT_OK
 
 
@@ -379,8 +389,10 @@ def cmd_mc(cfg: dict) -> int:
         node = int(np.argmin(np.sum((op.centers - x0) ** 2, axis=1)))
         grid_exit = float(exit_time(op).values[node])
     out = _out_dir(cfg)
-    surv_path = out / "survival.csv"
-    _write_csv(surv_path, ["t", "survival", "ci"], zip(est.ts, est.survival, est.survival_ci))
+    paths = {}
+    if out:
+        paths = {"survival": out / "survival.csv"}
+        _write_csv(paths["survival"], ["t", "survival", "ci"], [est.ts, est.survival, est.survival_ci])
     report = _report(
         "mc_report",
         alpha=alpha,
@@ -399,9 +411,9 @@ def cmd_mc(cfg: dict) -> int:
         else abs(-slope - grid_lambda1) / grid_lambda1,
         increments_drawn=est.increments_drawn,
         useful_ratio=est.useful_ratio,
-        files={"survival": str(surv_path)},
+        files=_listed(paths),
     )
-    _emit(report, out / "mc_report.json")
+    _emit(report, out / "mc_report.json" if out else None)
     return EXIT_OK
 
 

@@ -269,8 +269,22 @@ class RasterMask:
         return out
 
     def diameter(self) -> float:
-        """Maximal cell-center distance padded by h*sqrt(d), an upper bound."""
-        pts = self._cell_centers()
+        """Maximal cell-center distance padded by h*sqrt(d), an upper bound.
+
+        The farthest pair lies on the convex hull, whose vertices are among the
+        first and last filled cell of each lattice row, so only those enter.
+        Along a row the rounded squared distance to any fixed point peaks at
+        one of the row's ends too, so the maximum is the all-pairs one bit for
+        bit.
+        """
+        idx = np.argwhere(self.mask)  # row-major, so each row's cells are contiguous
+        ends = np.zeros(len(idx), dtype=bool)
+        ends[[0, -1]] = True
+        if self.d == 2:
+            new_row = idx[1:, 0] != idx[:-1, 0]
+            ends[1:] |= new_row
+            ends[:-1] |= new_row
+        pts = self._cell_centers()[ends]
         best = 0.0
         step = max(1, _PAIR_BLOCK // len(pts))
         for start in range(0, len(pts), step):

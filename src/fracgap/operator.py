@@ -17,7 +17,12 @@ inside cells, of a (block-)Toeplitz matrix on the lattice box. The operator
 stores only the table, kill and the diagonal; `apply` computes W x as the
 table's even extension convolved with x placed in the box, by a zero-padded
 real FFT of about twice the box size (O(N log N) for N box cells), and the
-diagonal's row sums are that convolution applied to ones. `weights` and
+diagonal's row sums are that convolution applied to ones. In 2D the
+transforms are pruned: the forward pass transforms only the box's rows
+along the last axis before the full transform along the first, and the
+inverse pass keeps only the box's rows before the last-axis inverse, so no
+transform runs over rows that are all zero or never read. The results are
+bitwise those of the full rfftn/irfftn pair. `weights` and
 `matrix` gather the dense n x n arrays on demand, for the small-n oracles,
 and refuse more than MAX_DENSE_NODES cells.
 
@@ -28,6 +33,10 @@ box. The outside sum is an exact pair sum in 1D and the same FFT
 convolution applied to the outside indicator in 2D. The mass beyond the box
 is in closed form in 1D; in 2D a polar quadrature with the radial integral
 exact and Gauss-Legendre in the angle, split at the box corner directions.
+It depends only on a cell's place in the lattice box, so it is evaluated
+once per class of cells related by the box's two reflections (and by the
+transpose when the box is square) and copied to the rest: about 8x fewer
+quadratures on a disk, and the beyond-box rate is exactly symmetric.
 
 Exit times solve H s = 1 (or its restriction to a node subset) by conjugate
 gradients on `apply`, preconditioned by the circulant that the padded FFT
@@ -109,11 +118,14 @@ class KilledOperator:
     diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._cells = tuple(self.index.T)
-        self._axes = tuple(range(self.d))
         # offsets in a box of m cells run over (-m, m): a circular convolution
         # of length >= 2m - 1 computes the linear one
         self._fft_shape = tuple(_smooth_len(2 * m - 1) for m in self.table.shape)
+        cells = self.index.T
+        # flat positions of the inside cells in the lattice box, and in the
+        # m_0 x L_1 (2D) or L_0 (1D) array that the pruned inverse transform returns
+        self._in_box = np.ravel_multi_index(cells, self.table.shape)
+        self._in_out = np.ravel_multi_index(cells, (*self.table.shape[:-1], self._fft_shape[-1]))
         # FFT index k holds the rate at offset min(k, L - k); offsets >= m get
         # the zero padded on
         folded = [
@@ -122,8 +134,9 @@ class KilledOperator:
         ]
         even = np.pad(self.table, [(0, 1)] * self.d)[np.ix_(*folded)]
         self._symbol = np.fft.rfftn(even).real  # real: the extension is even
-        outside = np.ones(self.table.shape, dtype=bool)
-        outside[self._cells] = False
+        outside = np.ones(self.table.size, dtype=bool)
+        outside[self._in_box] = False
+        outside = outside.reshape(self.table.shape)
         if self.d == 1:
             # exact pair sum: an FFT loses up to 1.4e-10 relative here at alpha = 1.7
             blocks = _gather_blocks(self.table, self.index, np.argwhere(outside))
@@ -160,14 +173,26 @@ class KilledOperator:
 
     def _convolve(self, box: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """A lattice-box array, zero-padded to the FFT shape and multiplied by
-        spectrum in frequency, read at the inside cells."""
-        spec = np.fft.rfftn(box, s=self._fft_shape, axes=self._axes) * spectrum
-        return np.fft.irfftn(spec, s=self._fft_shape, axes=self._axes)[self._cells]
+        spectrum in frequency, read at the inside cells.
+
+        The same transforms as rfftn/irfftn over the padded shape, pruned in
+        2D: the forward rfft runs over the m_0 box rows only (the padded rows
+        are zero), and the inverse irfft over the m_0 rows that hold the box.
+        """
+        last = self._fft_shape[-1]
+        spec = np.fft.rfft(box, n=last, axis=-1)
+        # d <= 2, so the axes before the last are axis 0 in 2D and none in 1D
+        for L in self._fft_shape[:-1]:
+            spec = np.fft.fft(spec, n=L, axis=0)
+        spec *= spectrum
+        for m in self.table.shape[:-1]:
+            spec = np.fft.ifft(spec, axis=0)[:m]
+        return np.fft.irfft(spec, n=last, axis=-1).ravel()[self._in_out]
 
     def _scatter(self, x: np.ndarray) -> np.ndarray:
-        box = np.zeros(self.table.shape)
-        box[self._cells] = x
-        return box
+        box = np.zeros(self.table.size)
+        box[self._in_box] = x
+        return box.reshape(self.table.shape)
 
     def _jumps(self, x: np.ndarray) -> np.ndarray:
         """W x: x placed in the lattice box, convolved with the table's even extension."""
@@ -316,7 +341,16 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
     if grid.d == 1:
         tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
     else:
-        tail = _tail_2d(grid.centers, lo, hi, alpha)
+        # the tail depends only on a cell's place in the lattice box, so it is
+        # evaluated once per class of cells that the box's reflections (and,
+        # in a square box, its transpose) map onto each other
+        m = np.asarray(grid.dims)
+        folded = np.minimum(grid.index, m - 1 - grid.index)
+        if m[0] == m[1]:
+            folded = np.sort(folded, axis=1)
+        keys, cell_class = np.unique(np.ravel_multi_index(folded.T, grid.dims), return_inverse=True)
+        reps = np.column_stack(np.unravel_index(keys, grid.dims))
+        tail = _tail_2d(grid.origin + (reps + 0.5) * grid.h, lo, hi, alpha)[cell_class]
     return KilledOperator(
         table=table,
         beyond=a_norm * tail,

@@ -13,7 +13,6 @@ function of the killed semigroup (dense, capped like the other oracles).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,22 +244,24 @@ def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarra
     return np.exp(-np.outer(ts, vals)) @ weights
 
 
+def _write_table(fh, header: list[str], columns) -> None:
+    """Write a table as csv.writer would: comma-joined fields, CRLF line ends,
+    no quoting (no header name or number needs any). Each column is converted
+    once; ints print as str and floats as repr, which reads back exactly. Rows
+    are streamed, so the whole text is never held at once."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    fh.write(",".join(header) + "\r\n")
+    fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells)))
+
+
 def export_eigenpairs_csv(sol: EigenSolution, op: KilledOperator, path) -> None:
     """CSV of node index, coordinates, phi_1, phi_2; header carries the run facts."""
+    facts = (
+        f"# lambda1={float(sol.lambdas[0])!r} lambda2={float(sol.lambdas[1])!r} "
+        f"h={sol.h!r} alpha={sol.alpha!r}\n"
+    )
+    header = ["node", *(f"x{k+1}" for k in range(op.d)), "phi1", "phi2"]
+    columns = [np.arange(op.n), *op.centers.T, sol.phis[:, 0], sol.phis[:, 1]]
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# lambda1={float(sol.lambdas[0])!r} lambda2={float(sol.lambdas[1])!r} "
-            f"h={sol.h!r} alpha={sol.alpha!r}\n"
-        )
-        writer = csv.writer(fh)
-        coords = [f"x{k+1}" for k in range(op.d)]
-        writer.writerow(["node", *coords, "phi1", "phi2"])
-        for i in range(op.n):
-            writer.writerow(
-                [
-                    i,
-                    *(repr(float(c)) for c in op.centers[i]),
-                    repr(float(sol.phis[i, 0])),
-                    repr(float(sol.phis[i, 1])),
-                ]
-            )
+        fh.write(facts)
+        _write_table(fh, header, columns)

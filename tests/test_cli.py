@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from importlib import resources
@@ -9,6 +11,7 @@ import pytest
 from fracgap.cli import main, parse_domain
 from fracgap.geometry import Ball, BallUnion, Box, IntervalUnion, save_mask
 from fracgap import geometry
+from fracgap.operator import assemble, exit_time
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +275,7 @@ WRITTEN_REPORTS = {
         ["solve", "--domain", "interval:-1,1", "--h", "0.05"],
         {"bound_report.json": "bound_report", "level_set.json": "level_set"},
     ),
+    "exit-time": (["exit-time", "--domain", "interval:-1,1", "--h", "0.05"], {"exit_time.json": None}),
     "two-ball": (["two-ball", "--separations", "4,8", "--h", "0.05"], {"two_ball.json": None}),
     "suite": (
         ["suite", "--alphas", "1.0", "--h1d", "0.02", "--h2d", "0.1", "--separations", "4,8", "--two-ball-h", "0.05"],
@@ -293,6 +297,33 @@ def test_written_json_is_the_printed_report(tmp_path, capsys, schema, command):
         text = (tmp_path / name).read_text()
         validate(json.loads(text), schema, obj["kind"])
         assert text == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", WRITTEN_REPORTS)
+def test_without_out_nothing_is_written(tmp_path, monkeypatch, capsys, command):
+    argv, _ = WRITTEN_REPORTS[command]
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    assert json.loads(out).get("files", {}) == {}
+
+
+def test_exit_time_csv_is_the_csv_writer_rendering(tmp_path, capsys):
+    code, out = run_cli(capsys, "exit-time", "--domain", "ball:0,0,1", "--h", "0.1", "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["files"] == {
+        "exit_time": str(tmp_path / "exit_time.csv"),
+        "report": str(tmp_path / "exit_time.json"),
+    }
+    grid = geometry.rasterize(Ball((0.0, 0.0), 1.0), 0.1)
+    values = exit_time(assemble(grid, 1.0)).values
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["node", "x1", "x2", "s"])
+    for i, ((x, y), s) in enumerate(zip(grid.centers, values)):
+        writer.writerow([i, repr(float(x)), repr(float(y)), repr(float(s))])
+    assert (tmp_path / "exit_time.csv").read_bytes() == want.getvalue().encode()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

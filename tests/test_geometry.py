@@ -281,3 +281,23 @@ def test_raster_contains_respects_cells():
     dom = RasterMask(mask, 1.0, (0.0, 0.0))
     inside = contains(dom, np.array([[1.5, 2.5], [0.5, 0.5], [5.0, 5.0]]))
     assert inside.tolist() == [True, False, False]
+
+
+def _all_pairs_diameter(dom: RasterMask) -> float:
+    """The diameter as every pair of filled cells gives it (the reference)."""
+    pts = dom._cell_centers()
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    return float(np.sqrt(d2.max())) + dom.h * math.sqrt(dom.d)
+
+
+def test_raster_diameter_from_row_ends_is_the_all_pairs_value():
+    masks = [lshape_mask(0.05), lshape_mask(0.25)]
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        shape = tuple(int(m) for m in rng.integers(1, 25, size=rng.integers(1, 3)))
+        mask = rng.random(shape) < rng.uniform(0.05, 0.9)
+        mask.flat[rng.integers(mask.size)] = True  # at least one filled cell
+        origin = tuple(rng.uniform(-3.0, 3.0, size=len(shape)))
+        masks.append(RasterMask(mask, float(rng.uniform(0.01, 0.3)), origin))
+    for dom in masks:
+        assert dom.diameter() == _all_pairs_diameter(dom)

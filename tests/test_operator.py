@@ -239,6 +239,42 @@ def test_fft_kill_matches_pair_sum_2d(alpha):
     assert (np.abs(op.kill - want) / want).max() <= 1e-11
 
 
+def _full_fft_convolve(op, x, spectrum):
+    """x placed in the lattice box, convolved by full rfftn/irfftn over the padded shape."""
+    cells = tuple(op.index.T)
+    box = np.zeros(op.table.shape)
+    box[cells] = x
+    axes = tuple(range(op.d))
+    spec = np.fft.rfftn(box, s=op._fft_shape, axes=axes) * spectrum
+    return np.fft.irfftn(spec, s=op._fft_shape, axes=axes)[cells]
+
+
+@pytest.mark.parametrize(
+    "dom, h",
+    [(Ball((0.0, 0.0), 1.0), 0.05), (Box((0.0, 0.0), (3.0, 1.0)), 0.05), (interval(-1.0, 1.0), 0.01)],
+    ids=["disk", "rectangle", "interval"],
+)
+def test_pruned_transforms_are_bitwise_the_full_ones(dom, h):
+    op = assemble(rasterize(dom, h), 1.3)
+    x = np.random.default_rng(4).standard_normal(op.n)
+    assert np.array_equal(op._jumps(x), _full_fft_convolve(op, x, op._symbol))
+    assert np.array_equal(op.precondition(x), _full_fft_convolve(op, x, op._inv_circulant))
+
+
+@pytest.mark.parametrize(
+    "dom", [Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (3.0, 1.0))], ids=["disk", "rectangle"]
+)
+def test_beyond_box_rate_is_exactly_symmetric(dom):
+    grid = rasterize(dom, 0.05)  # both lattices and inside sets are symmetric here
+    assert np.array_equal(grid.inside, grid.inside[::-1, ::-1])
+    beyond = np.zeros(grid.dims)
+    beyond[tuple(grid.index.T)] = assemble(grid, 1.0).beyond
+    assert np.array_equal(beyond, beyond[::-1])
+    assert np.array_equal(beyond, beyond[:, ::-1])
+    if grid.dims[0] == grid.dims[1]:
+        assert np.array_equal(beyond, beyond.T)
+
+
 def test_kill_checked_on_construction():
     _, op = interval_op(-1.0, 1.0, 0.05)
     for beyond in (np.full(op.n, np.nan), -op.kill):  # non-finite, then negative
@@ -318,7 +354,9 @@ def _rate_2d(dx, dy, h, alpha, a_norm):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize(
-    "dom", [interval(-1.0, 1.0), Ball((0.0, 0.0), 1.0)], ids=["interval", "disk"]
+    "dom",
+    [interval(-1.0, 1.0), Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (3.0, 1.0))],
+    ids=["interval", "disk", "rectangle"],
 )
 def test_weights_and_kill_match_scheme_formulas(dom, alpha):
     grid = rasterize(dom, 0.25)
@@ -349,7 +387,8 @@ def test_weights_and_kill_match_scheme_formulas(dom, alpha):
 # ---------------------------------------------------------------------------
 # Matrix-free apply and CG solves against the dense oracle
 
-SUITE_COARSE = suite_domains(h1d=0.02, h2d=0.1)
+# the suite's domains plus a box whose lattice is not square (no transpose fold)
+SUITE_COARSE = [*suite_domains(h1d=0.02, h2d=0.1), ("rectangle", Box((0.0, 0.0), (3.0, 1.0)), 0.1)]
 
 
 @pytest.fixture(scope="module", params=[0.5, 1.0, 1.5], ids=lambda a: f"alpha{a}")

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 
@@ -188,6 +190,22 @@ def test_export_eigenpairs_csv(tmp_path, interval_run):
     assert lines[0].startswith("# lambda1=")
     assert lines[1] == "node,x1,phi1,phi2"
     assert len(lines) == op.n + 2
+
+
+@pytest.mark.parametrize("dom, h", [(interval(-1.0, 1.0), 0.05), (Ball((0.0, 0.0), 1.0), 0.1)], ids=["1d", "2d"])
+def test_eigenpairs_csv_is_the_csv_writer_rendering(tmp_path, dom, h):
+    op = assemble(rasterize(dom, h), 1.0)
+    sol = eigenpairs(op, 2)
+    path = tmp_path / "eig.csv"
+    export_eigenpairs_csv(sol, op, path)
+    want = io.StringIO(newline="")
+    want.write(path.read_text().splitlines()[0] + "\n")  # the facts line
+    writer = csv.writer(want)
+    writer.writerow(["node", *(f"x{k + 1}" for k in range(op.d)), "phi1", "phi2"])
+    for i in range(op.n):
+        phis = (repr(float(v)) for v in sol.phis[i, :2])
+        writer.writerow([i, *(repr(float(c)) for c in op.centers[i]), *phis])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
