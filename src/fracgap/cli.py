@@ -4,8 +4,8 @@ the canonical experiments, with JSON/CSV reports.
 Every JSON report is built by `_report`: its kind, then the fields of the
 result dataclasses it reports, then command-specific extras. `_emit` is the one
 writer of JSON text, to stdout and to the report file under --out; `_write_csv`
-writes the CSV tables. Without --out no command writes a file, and the reports
-that list their files list none.
+writes the CSV tables. Every command's report lists the files it wrote in its
+`files` block; without --out no command writes a file, and that block is empty.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
@@ -245,9 +245,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def cmd_constants(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], cfg["dim"])
-    report = _report("constants_report", p, bound_constants(p), ball_bound_r1=lambda1_upper_ball(p, 1.0))
     out = _out_dir(cfg)
-    _emit(report, out / "constants.json" if out else None)
+    paths = {"report": out / "constants.json"} if out else {}
+    bound_r1 = lambda1_upper_ball(p, 1.0)
+    report = _report("constants_report", p, bound_constants(p), ball_bound_r1=bound_r1, files=_listed(paths))
+    _emit(report, paths.get("report"))
     return EXIT_OK
 
 
@@ -355,13 +357,15 @@ def cmd_two_ball(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], cfg["dim"])
     res = bounds.two_ball_experiment(cfg["separations"], p, cfg["h"])
     out = _out_dir(cfg)
+    paths = {}
     if out:
+        paths = {"two_ball": out / "two_ball.csv", "report": out / "two_ball.json"}
         _write_csv(
-            out / "two_ball.csv",
+            paths["two_ball"],
             ["separation", "gap", "lambda1", "upper_bound", "lower_bound", "reference_decay"],
             [res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay],
         )
-    _emit(_report("two_ball_report", res), out / "two_ball.json" if out else None)
+    _emit(_report("two_ball_report", res, files=_listed(paths)), paths.get("report"))
     return EXIT_OK
 
 
@@ -391,7 +395,7 @@ def cmd_mc(cfg: dict) -> int:
     out = _out_dir(cfg)
     paths = {}
     if out:
-        paths = {"survival": out / "survival.csv"}
+        paths = {"survival": out / "survival.csv", "report": out / "mc_report.json"}
         _write_csv(paths["survival"], ["t", "survival", "ci"], [est.ts, est.survival, est.survival_ci])
     report = _report(
         "mc_report",
@@ -413,7 +417,7 @@ def cmd_mc(cfg: dict) -> int:
         useful_ratio=est.useful_ratio,
         files=_listed(paths),
     )
-    _emit(report, out / "mc_report.json" if out else None)
+    _emit(report, paths.get("report"))
     return EXIT_OK
 
 

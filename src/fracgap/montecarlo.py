@@ -10,10 +10,16 @@ walked on the time lattice dt, so excursions that leave and re-enter between
 checks are missed; the resulting bias on exit times is upward and shrinks
 with dt.
 
-Every path owns an independent random stream keyed by (seed, path index)
-and draws only uniforms from it, k per step, so its exit time is a function
-of (config, seed, path index) alone: bit for bit the same however paths are
-scheduled, blocked or chunked.
+Every path owns an independent random stream keyed by (seed, path index):
+the PCG64 stream of default_rng(SeedSequence(seed, spawn_key=(index,))). It
+draws only uniforms from it, k per step, so its exit time is a function of
+(config, seed, path index) alone: bit for bit the same however paths are
+scheduled, blocked or chunked. Paths run through a window of _BLOCK
+generator slots in lockstep rounds of _CHUNK steps; a slot whose path has
+left takes the next unstarted path, its generator re-seeded from states
+that SeedSequence's hash yields for a whole window of path indices at once.
+So a round is nearly always full, and the values for a given seed are
+those of walking each path alone.
 """
 
 from __future__ import annotations
@@ -37,9 +43,16 @@ __all__ = [
 ]
 
 MAX_STEPS = 10**6
-# paths walked together, and steps per round; exit times do not depend on either
+# generator slots walked together, and steps per round; exit times do not depend on either
 _BLOCK = 128
 _CHUNK = 128
+# numpy.random.SeedSequence's pool size and hash constants, and PCG64's multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # survival probabilities the log-slope fit uses: resolvable, past the start-up transient
 SLOPE_WINDOW = (0.02, 0.5)
 
@@ -63,8 +76,12 @@ class StableSamplerConfig:
             raise ValueError("only dimensions 1 and 2 are supported")
         if self.delta <= 0.0:
             raise ValueError("time step must be positive")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.paths < 1000:
             raise ValueError("need at least 1000 paths")
+        if self.paths >= 2**32:
+            raise ValueError("paths must be below 2^32, so that each path index is one 32-bit spawn word")
 
     @property
     def uniforms_per_increment(self) -> int:
@@ -89,10 +106,6 @@ class ExitEstimate:
     paths: int
     increments_drawn: int
     useful_ratio: float
-
-
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
 
 
 def _log_sin(x: np.ndarray) -> np.ndarray:
@@ -159,36 +172,118 @@ def sample_stable_increment(
     return out[0] if size is None else out
 
 
-def _walk_block(
-    cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, first: int, exit_steps: np.ndarray
-) -> int:
-    """Walk paths first, first + 1, ... in lockstep rounds of _CHUNK steps.
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running hash constant: a hash step xors with it, then multiplies by its next value."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
 
-    Fills exit_steps with the step at which each path is first outside and
-    returns the number of increments drawn. Positions are summed one step
-    at a time, so neither the round length nor the block changes a bit.
+
+def _hashmix(value, consts):
+    """One step of SeedSequence's 32-bit hash, on an int or a uint64 array of 32-bit words."""
+    x, m = next(consts)
+    value = ((value ^ x) * m) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence(seed, spawn_key=(i,))) for first <= i < first + count.
+
+    SeedSequence hashes the seed's 32-bit words, padded with zeros to its
+    pool of 4, then the spawn word i. Everything before the spawn word is
+    the same for every path; the rest runs over all indices at once in
+    uint64 arrays masked to 32 bits. PCG64 then seeds its 128-bit state from
+    the 8 words the pool generates, in Python ints.
     """
-    rngs = [_path_rng(cfg.seed, first + i) for i in range(len(exit_steps))]
-    live = np.arange(len(exit_steps))
-    pos = np.repeat(x0[None, :], len(live), axis=0)
-    done = drawn = 0
-    while live.size:
-        c = min(_CHUNK, MAX_STEPS - done)
+    seed = int(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, consts) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for w in [*words[_POOL:], np.arange(first, first + count, dtype=np.uint64)]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % _POOL], consts) for i in range(8)]
+    # little-endian pairs of words -> the 4 uint64 of generate_state(4, np.uint64)
+    hi_s, lo_s, hi_i, lo_i = ((out[2 * j] | (out[2 * j + 1] << 32)).tolist() for j in range(4))
+    states = []
+    for a, b, c, e in zip(hi_s, lo_s, hi_i, lo_i):
+        inc = (((c << 64) | e) << 1 | 1) & _MASK128
+        states.append((((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: np.ndarray) -> int:
+    """Walk every path through a window of _BLOCK slots in lockstep rounds of _CHUNK steps.
+
+    When a path leaves, its slot takes the next unstarted path, re-seeded in
+    place. Fills exit_steps with the step at which each path is first outside
+    and returns the number of increments drawn. Every path's rounds start at
+    its own step 0 and positions are summed one step at a time, so neither
+    the window, the round length nor the schedule changes a bit.
+    """
+    paths = len(exit_steps)
+    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(min(_BLOCK, paths))]
+    queue: list[tuple[int, int]] = []
+    started = 0
+
+    def start(gen: np.random.Generator) -> int:
+        nonlocal queue, started
+        if not queue:
+            queue = _seed_states(cfg.seed, started, min(_BLOCK, paths - started))[::-1]
+        state, inc = queue.pop()
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        started += 1
+        return started - 1
+
+    path = np.array([start(gen) for gen in gens])
+    done = np.zeros(len(gens), dtype=np.int64)
+    pos = np.repeat(x0[None, :], len(gens), axis=0)
+    drawn = 0
+    while gens:
+        c = min(_CHUNK, MAX_STEPS - int(done.max()))
         if c <= 0:
-            raise PathBudgetError(f"path {first + int(live[0])} exceeded {MAX_STEPS} steps")
-        u = np.empty((live.size, c, cfg.uniforms_per_increment))
-        for row, i in enumerate(live):
-            rngs[i].random(out=u[row])
-        traj = increments_from_uniforms(cfg, cfg.delta, u.reshape(-1, u.shape[2])).reshape(live.size, c, cfg.d)
+            raise PathBudgetError(f"path {int(path[np.argmax(done)])} exceeded {MAX_STEPS} steps")
+        u = np.empty((len(gens), c, cfg.uniforms_per_increment))
+        for gen, row in zip(gens, u):
+            gen.random(out=row)
+        traj = increments_from_uniforms(cfg, cfg.delta, u.reshape(-1, u.shape[2])).reshape(len(gens), c, cfg.d)
         traj[:, 0] += pos
         np.cumsum(traj, axis=1, out=traj)
-        outside = ~contains(domain, traj.reshape(-1, cfg.d)).reshape(live.size, c)
+        outside = ~contains(domain, traj.reshape(-1, cfg.d)).reshape(len(gens), c)
         left = outside.any(axis=1)
-        exit_steps[live[left]] = done + 1 + np.argmax(outside[left], axis=1)
-        pos = traj[~left, -1]
-        live = live[~left]
-        done += c
+        exit_steps[path[left]] = done[left] + 1 + np.argmax(outside[left], axis=1)
         drawn += u.shape[0] * c
+        pos = traj[:, -1]
+        done += c
+        # each slot whose path left takes the next path, while any is unstarted
+        refill = np.flatnonzero(left)[: paths - started]
+        path[refill] = [start(gens[row]) for row in refill]
+        done[refill] = 0
+        pos[refill] = x0
+        keep = ~left
+        keep[refill] = True
+        gens = [gen for gen, kept in zip(gens, keep) if kept]
+        path, done, pos = path[keep], done[keep], pos[keep]
+        # a full window's arrays would otherwise stay alive through the next round's transform
+        del u, traj
     return drawn
 
 
@@ -206,9 +301,7 @@ def estimate_exit(
     if not contains(domain, x0[None, :])[0]:
         raise ValueError("starting point must lie inside the domain")
     exit_steps = np.empty(cfg.paths, dtype=np.int64)
-    drawn = 0
-    for first in range(0, cfg.paths, _BLOCK):
-        drawn += _walk_block(cfg, domain, x0, first, exit_steps[first : first + _BLOCK])
+    drawn = _walk(cfg, domain, x0, exit_steps)
     taus = exit_steps * cfg.delta
     mean = float(taus.mean())
     ci = 1.96 * float(taus.std(ddof=1)) / math.sqrt(cfg.paths)

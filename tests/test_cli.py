@@ -300,13 +300,22 @@ def test_written_json_is_the_printed_report(tmp_path, capsys, schema, command):
 
 
 @pytest.mark.parametrize("command", WRITTEN_REPORTS)
+def test_every_written_file_is_listed(tmp_path, capsys, command):
+    argv, _ = WRITTEN_REPORTS[command]
+    code, out = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    listed = json.loads(out)["files"]
+    assert sorted(listed.values()) == sorted(str(path) for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", WRITTEN_REPORTS)
 def test_without_out_nothing_is_written(tmp_path, monkeypatch, capsys, command):
     argv, _ = WRITTEN_REPORTS[command]
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert list(tmp_path.iterdir()) == []
-    assert json.loads(out).get("files", {}) == {}
+    assert json.loads(out)["files"] == {}
 
 
 def test_exit_time_csv_is_the_csv_writer_rendering(tmp_path, capsys):
@@ -378,6 +387,17 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config):
     captured = capsys.readouterr()
     assert "usage error" in captured.err
     assert "NaN" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seed", "-1", "seed must be a non-negative integer"), ("--paths", str(2**32), "paths must be below 2^32")],
+)
+def test_mc_sampler_inputs_are_usage_errors(tmp_path, capsys, flag, value, message):
+    # the sampler config rejects these on construction, before any path is allocated
+    assert main(["mc", "--domain", "interval:-1,1", flag, value, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_matches_flags(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import fracgap.montecarlo as mc
-from fracgap.geometry import Ball, IntervalUnion, interval
+from fracgap.geometry import Ball, IntervalUnion, contains, interval
 from fracgap.montecarlo import (
     StableSamplerConfig,
     estimate_exit,
@@ -14,7 +14,6 @@ from fracgap.montecarlo import (
     sample_stable_increment,
     survival_comparison,
     survival_log_slope,
-    _path_rng,
 )
 
 
@@ -31,6 +30,13 @@ def test_config_validation():
         cfg(paths=10)
     with pytest.raises(ValueError):
         cfg(d=3)
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            cfg(seed=seed)
+    # a path index must stay one 32-bit spawn word; checked before anything is allocated
+    assert cfg(paths=2**32 - 1).paths == 2**32 - 1
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        cfg(paths=2**32)
 
 
 def test_characteristic_function_1d():
@@ -106,9 +112,39 @@ def test_increments_finite_at_uniform_endpoints(alpha, d):
 
 def _exit_steps(c, domain, x0):
     steps = np.empty(c.paths, dtype=np.int64)
-    for first in range(0, c.paths, mc._BLOCK):
-        mc._walk_block(c, domain, x0, first, steps[first : first + mc._BLOCK])
+    mc._walk(c, domain, x0, steps)
     return steps
+
+
+SEEDS = [0, 1, 2**32 + 7, 2**100 + 3, 2**130 + 11, 340282366920938463463374607431768211507]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_states_are_the_seed_sequence_streams(seed):
+    for first, count in [(0, 129), (4095, 1), (2**32 - 1, 1)]:
+        states = mc._seed_states(seed, first, count)
+        assert len(states) == count
+        for i in {first, first + count - 1, min(first + 127, first + count - 1)}:
+            want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).bit_generator.state
+            assert states[i - first] == (want["state"]["state"], want["state"]["inc"])
+
+
+@pytest.mark.parametrize("alpha, d", [(1.0, 1), (1.3, 2)])
+def test_window_refill_keeps_rounds_full(monkeypatch, alpha, d):
+    c = cfg(alpha=alpha, d=d, delta=0.01, seed=23, paths=1000)
+    domain = interval(-1.0, 1.0) if d == 1 else Ball((0.0, 0.0), 1.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape[0])
+        return increments_from_uniforms(*args)
+
+    monkeypatch.setattr(mc, "increments_from_uniforms", counted)
+    steps = _exit_steps(c, domain, np.zeros(d))
+    path_rounds = -(-steps // mc._CHUNK)
+    # every round but those after the last path starts has all _BLOCK slots busy
+    assert len(calls) <= -(-int(path_rounds.sum()) // mc._BLOCK) + int(path_rounds.max())
+    assert sum(calls) == int(path_rounds.sum()) * mc._CHUNK
 
 
 @pytest.mark.parametrize("block, chunk", [(1, 1), (7, 333)])
@@ -158,11 +194,26 @@ def test_estimate_exit_reproducible():
 
 def test_path_streams_keyed_by_index():
     # streams must not depend on evaluation order
-    r5 = _path_rng(123, 5).standard_normal(4)
-    r3 = _path_rng(123, 3).standard_normal(4)
-    again5 = _path_rng(123, 5).standard_normal(4)
+    def stream(seed, index):
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+    r5 = stream(123, 5).standard_normal(4)
+    r3 = stream(123, 3).standard_normal(4)
+    again5 = stream(123, 5).standard_normal(4)
     assert np.array_equal(r5, again5)
     assert not np.array_equal(r5, r3)
+
+
+def test_walker_draws_each_path_from_its_seed_sequence_stream():
+    c = cfg(alpha=1.3, delta=0.05, seed=2**100 + 3, paths=1000)
+    domain = interval(-1.0, 1.0)
+    steps = _exit_steps(c, domain, np.zeros(1))
+    # first and last path of the first window, the first refill, the last path
+    for i in (0, 127, 128, 999):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
+        x = np.cumsum(increments_from_uniforms(c, c.delta, rng.random((steps[i], 2))), axis=0)
+        inside = contains(domain, x)
+        assert inside[:-1].all() and not inside[-1]
 
 
 def test_survival_monotone_nonincreasing():
