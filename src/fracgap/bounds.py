@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,6 +28,7 @@ from .constants import (
 )
 from .geometry import Ball, BallUnion, Domain, Grid, IntervalUnion, interval, rasterize
 from .operator import KilledOperator, assemble
+from .parallel import fork_map
 from .spectra import EigenSolution, eigenpairs, spectral_gap, variational_energy
 
 __all__ = [
@@ -340,8 +340,7 @@ def suite_domains(h1d: float = 0.005, h2d: float = 0.05) -> list[tuple[str, Doma
     ]
 
 
-def _suite_job(args: tuple[str, Domain, float, float, int, float]) -> BoundReport:
-    label, domain, h, alpha, k, prop_slack_per_h = args
+def _suite_job(label: str, domain: Domain, h: float, alpha: float, k: int, prop_slack_per_h: float) -> BoundReport:
     p = StableParams(alpha, domain.d)
     _, _, sol = solve_domain(domain, alpha, h, k=k)
     return build_report(sol, domain, p, label, prop_slack_per_h)
@@ -355,16 +354,13 @@ def run_suite(
     workers: int = 1,
     prop_slack_per_h: float = PROP_SLACK_PER_H,
 ) -> list[BoundReport]:
-    """Run every suite domain at every alpha; order of results is fixed."""
+    """Run every suite domain at every alpha on `workers` processes; order of results is fixed."""
     jobs = [
         (label, domain, h, float(alpha), k, prop_slack_per_h)
         for label, domain, h in suite_domains(h1d, h2d)
         for alpha in alphas
     ]
-    if workers <= 1:
-        return [_suite_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_suite_job, jobs))
+    return fork_map(_suite_job, jobs, workers)
 
 
 def suite_passed(reports: Sequence[BoundReport], variant: str = "derived") -> bool:

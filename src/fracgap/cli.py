@@ -9,9 +9,10 @@ writes the CSV tables. Every command's report lists the files it wrote in its
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
-the seed and the worker count) at a fixed BLAS thread count: identical
-invocations then produce identical bytes. Across thread counts the last bits
-of eigenvalues, eigenvectors and exit times can change.
+the seed) at a fixed BLAS thread count: identical invocations then produce
+identical bytes. The worker count changes no value: `mc` and `suite` results
+are the same for any --workers. Across BLAS thread counts the last bits of
+eigenvalues, eigenvectors and exit times can change.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .geometry import Ball, BallUnion, Box, Domain, IntervalUnion, load_mask
 from .operator import AssemblyError, SolveError, assemble, exit_time
 from .spectra import _write_table, export_eigenpairs_csv, level_set_report
 from .montecarlo import PathBudgetError, StableSamplerConfig, estimate_exit, survival_log_slope
+from .parallel import usable_cores
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -54,6 +56,20 @@ def _finite(value) -> float:
     if not np.isfinite(x):
         raise ValueError("must be a finite number")
     return x
+
+
+def _integer(value) -> int:
+    """An integer given as an int, an integral float or a decimal string; bools are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
+def _workers(value) -> int:
+    n = _integer(value)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
 
 
 def _alpha(value) -> float:
@@ -86,12 +102,12 @@ REQUIRED = object()  # default of a flag that has to be given
 # they stand. Any other value, from the file or a flag, goes through the
 # converter once, so a JSON null is accepted only where the default is None.
 FLAGS: dict[str, dict] = {
-    "constants": {"alpha": (_alpha, 1.0), "dim": (int, 1), "out": (str, None)},
+    "constants": {"alpha": (_alpha, 1.0), "dim": (_integer, 1), "out": (str, None)},
     "solve": {
         "domain": (str, REQUIRED),
         "alpha": (_alpha, 1.0),
         "h": (_finite, REQUIRED),
-        "k": (int, 6),
+        "k": (_integer, 6),
         "label": (str, None),
         "prop_slack": (_finite, bounds.PROP_SLACK_PER_H),
         "out": (str, None),
@@ -106,8 +122,8 @@ FLAGS: dict[str, dict] = {
         "alphas": (_list_of(_alpha), (0.5, 1.0, 1.5)),
         "h1d": (_finite, 0.005),
         "h2d": (_finite, 0.05),
-        "k": (int, 6),
-        "workers": (int, 1),
+        "k": (_integer, 6),
+        "workers": (_workers, 1),
         "variant": (_variant, "derived"),
         "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
         "two_ball_h": (_finite, 0.02),
@@ -117,7 +133,7 @@ FLAGS: dict[str, dict] = {
     "two-ball": {
         "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
         "alpha": (_alpha, 1.0),
-        "dim": (int, 1),
+        "dim": (_integer, 1),
         "h": (_finite, 0.02),
         "out": (str, None),
     },
@@ -126,9 +142,11 @@ FLAGS: dict[str, dict] = {
         "alpha": (_alpha, 1.0),
         "x0": (_list_of(_finite), None),
         "delta": (_finite, 1e-3),
-        "paths": (int, 10000),
-        "seed": (int, 1),
+        "paths": (_integer, 10000),
+        "seed": (_integer, 1),
         "grid_h": (_finite, None),
+        # None: every usable core
+        "workers": (_workers, None),
         "out": (str, None),
     },
 }
@@ -378,7 +396,7 @@ def cmd_mc(cfg: dict) -> int:
         _, x0 = domain.inscribed_radius()
     else:
         x0 = np.array(cfg["x0"])
-    est = estimate_exit(sampler, domain, x0)
+    est = estimate_exit(sampler, domain, x0, workers=cfg["workers"] or usable_cores())
     try:
         slope = survival_log_slope(est)
     except ValueError:

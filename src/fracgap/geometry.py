@@ -294,9 +294,21 @@ class RasterMask:
         return best + self.h * math.sqrt(self.d)
 
     def _dist_to_complement(self, pts: np.ndarray) -> np.ndarray:
-        """Exact distance from each point to the complement of the cell union."""
+        """Exact distance from each point of the cell union to its complement.
+
+        Only the empty cells that share a face with a filled cell enter, and
+        the edge of the mask extent. An empty cell nearest to a point inside
+        lies apart from it along some axis, and its face neighbour one step
+        toward the point along that axis is strictly nearer, so it is filled.
+        The minimum thus runs over a set holding every nearest cell, each
+        pair computed as over all cells: it is the all-cells one bit for bit.
+        """
         o = np.asarray(self.origin)
-        empty_idx = np.argwhere(~self.mask)
+        filled = np.pad(self.mask, 1)
+        near = np.zeros_like(filled)
+        for axis in range(self.d):
+            near |= np.roll(filled, 1, axis) | np.roll(filled, -1, axis)
+        empty_idx = np.argwhere((near & ~filled)[(slice(1, -1),) * self.d])
         # distance to the outside of the mask extent
         hi = o + np.asarray(self.mask.shape) * self.h
         d_ext = np.min(np.minimum(pts - o, hi - pts), axis=1)

@@ -19,7 +19,10 @@ generator slots in lockstep rounds of _CHUNK steps; a slot whose path has
 left takes the next unstarted path, its generator re-seeded from states
 that SeedSequence's hash yields for a whole window of path indices at once.
 So a round is nearly always full, and the values for a given seed are
-those of walking each path alone.
+those of walking each path alone. With workers > 1 the paths are split into
+contiguous ranges of whole windows, walked at once in forked processes
+(`parallel.fork_map`), and the same argument makes the split invisible in
+every value.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Domain, contains
+from .parallel import fork_map
 
 __all__ = [
     "StableSamplerConfig",
@@ -225,14 +229,14 @@ def _seed_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: np.ndarray) -> int:
-    """Walk every path through a window of _BLOCK slots in lockstep rounds of _CHUNK steps.
+def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: np.ndarray, first: int = 0) -> int:
+    """Walk paths first, first + 1, ... through a window of _BLOCK slots in lockstep rounds of _CHUNK steps.
 
     When a path leaves, its slot takes the next unstarted path, re-seeded in
-    place. Fills exit_steps with the step at which each path is first outside
-    and returns the number of increments drawn. Every path's rounds start at
-    its own step 0 and positions are summed one step at a time, so neither
-    the window, the round length nor the schedule changes a bit.
+    place. Fills exit_steps[i] with the step at which path first + i is first
+    outside and returns the number of increments drawn. Every path's rounds
+    start at its own step 0 and positions are summed one step at a time, so
+    neither the window, the round length nor the schedule changes a bit.
     """
     paths = len(exit_steps)
     gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(min(_BLOCK, paths))]
@@ -242,7 +246,7 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
     def start(gen: np.random.Generator) -> int:
         nonlocal queue, started
         if not queue:
-            queue = _seed_states(cfg.seed, started, min(_BLOCK, paths - started))[::-1]
+            queue = _seed_states(cfg.seed, first + started, min(_BLOCK, paths - started))[::-1]
         state, inc = queue.pop()
         gen.bit_generator.state = {
             "bit_generator": "PCG64",
@@ -260,7 +264,7 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
     while gens:
         c = min(_CHUNK, MAX_STEPS - int(done.max()))
         if c <= 0:
-            raise PathBudgetError(f"path {int(path[np.argmax(done)])} exceeded {MAX_STEPS} steps")
+            raise PathBudgetError(f"path {first + int(path[np.argmax(done)])} exceeded {MAX_STEPS} steps")
         u = np.empty((len(gens), c, cfg.uniforms_per_increment))
         for gen, row in zip(gens, u):
             gen.random(out=row)
@@ -287,21 +291,36 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
     return drawn
 
 
+def _walk_part(
+    cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, first: int, count: int
+) -> tuple[np.ndarray, int]:
+    """Exit steps of paths first, ..., first + count - 1 and the increments drawn for them."""
+    exit_steps = np.empty(count, dtype=np.int64)
+    return exit_steps, _walk(cfg, domain, x0, exit_steps, first)
+
+
 def estimate_exit(
-    cfg: StableSamplerConfig, domain: Domain, x0, ts: np.ndarray | None = None
+    cfg: StableSamplerConfig, domain: Domain, x0, ts: np.ndarray | None = None, workers: int = 1
 ) -> ExitEstimate:
     """Walk cfg.paths independent paths from x0 and estimate the exit time.
 
     The survival table P(tau >= t) is evaluated on ts; by default ts spans
     [0, ~99.9th percentile of the sampled exit times] on an even grid.
+    The paths are split into up to `workers` contiguous ranges of whole
+    windows, walked at once in this process and in forked children; every
+    value is the same for any worker count.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (cfg.d,):
         raise ValueError(f"starting point needs {cfg.d} coordinates, got {x0.size}")
     if not contains(domain, x0[None, :])[0]:
         raise ValueError("starting point must lie inside the domain")
-    exit_steps = np.empty(cfg.paths, dtype=np.int64)
-    drawn = _walk(cfg, domain, x0, exit_steps)
+    windows = -(-cfg.paths // _BLOCK)
+    parts = max(1, min(workers, windows))
+    cuts = [min(cfg.paths, _BLOCK * (windows * w // parts)) for w in range(parts + 1)]
+    walked = fork_map(_walk_part, [(cfg, domain, x0, a, b - a) for a, b in zip(cuts, cuts[1:])], workers)
+    exit_steps = np.concatenate([steps for steps, _ in walked])
+    drawn = sum(n for _, n in walked)
     taus = exit_steps * cfg.delta
     mean = float(taus.mean())
     ci = 1.96 * float(taus.std(ddof=1)) / math.sqrt(cfg.paths)
@@ -341,20 +360,22 @@ def survival_comparison(
     ts,
     x0_a=None,
     x0_b=None,
+    workers: int = 1,
 ) -> list[dict]:
     """Check P(tau_A >= t) <= P(tau_B >= t) + 2 * joint CI at each requested t.
 
     Intended for |A| = |B| with B a ball or interval, started at the
     respective centers; the continuum inequality is the isoperimetric
-    exit-time comparison. The two domains use decorrelated seeds.
+    exit-time comparison. The two domains use decorrelated seeds. Each
+    estimate walks its paths on `workers` processes, as in estimate_exit.
     """
     ts = np.asarray(ts, dtype=float)
     if x0_a is None:
         _, x0_a = domain_a.inscribed_radius()
     if x0_b is None:
         _, x0_b = domain_b.inscribed_radius()
-    est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts)
-    est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts)
+    est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts, workers=workers)
+    est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts, workers=workers)
     out = []
     for i, t in enumerate(ts):
         joint = math.hypot(float(est_a.survival_ci[i]), float(est_b.survival_ci[i]))

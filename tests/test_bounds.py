@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import pytest
 
@@ -196,6 +197,7 @@ def test_suite_coarse_all_verdicts(tmp_path):
 def test_suite_parallel_matches_serial():
     serial = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2)
     parallel = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2, workers=2)
+    assert multiprocessing.active_children() == []
     for a, b in zip(serial, parallel):
         assert a.label == b.label
         assert a.lambda1 == b.lambda1

@@ -400,6 +400,46 @@ def test_mc_sampler_inputs_are_usage_errors(tmp_path, capsys, flag, value, messa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["mc", "--domain", "interval:-1,1"], {"seed": 3.7}, id="seed-fraction"),
+        pytest.param(["mc", "--domain", "interval:-1,1"], {"seed": True}, id="seed-bool"),
+        pytest.param(["mc", "--domain", "interval:-1,1"], {"paths": 1000.9}, id="paths-fraction"),
+        pytest.param(["solve", "--domain", "interval:-1,1", "--h", "0.05"], {"k": 2.5}, id="k-fraction"),
+        pytest.param(["constants"], {"dim": 1.9}, id="dim-fraction"),
+        pytest.param(["mc", "--domain", "interval:-1,1"], {"workers": 1.5}, id="workers-fraction"),
+        pytest.param(["suite", "--workers", "0"], None, id="workers-zero"),
+    ],
+)
+def test_integer_flags_reject_other_values(tmp_path, capsys, argv, config):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert "usage error: bad value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_flags_accept_integral_numbers(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"alpha": 1.0, "dim": 2.0}))
+    code, out = run_cli(capsys, "constants", "--config", str(tmp_path / "cfg.json"))
+    assert code == 0
+    assert json.loads(out)["d"] == 2
+
+
+def test_mc_report_independent_of_workers(tmp_path, capsys):
+    argv = ["mc", "--domain", "ball:0,0,1", "--delta", "0.01", "--paths", "1200", "--seed", "4"]
+    reports = {}
+    for workers in ("1", "2"):
+        code, out = run_cli(capsys, *argv, "--workers", workers, "--out", str(tmp_path / workers))
+        assert code == 0
+        reports[workers] = {key: val for key, val in json.loads(out).items() if key != "files"}
+    assert reports["1"] == reports["2"]
+    assert (tmp_path / "1" / "survival.csv").read_bytes() == (tmp_path / "2" / "survival.csv").read_bytes()
+
+
 def test_config_file_matches_flags(tmp_path, capsys):
     values = {
         "domain": "interval:-1,1",

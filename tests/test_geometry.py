@@ -301,3 +301,30 @@ def test_raster_diameter_from_row_ends_is_the_all_pairs_value():
         masks.append(RasterMask(mask, float(rng.uniform(0.01, 0.3)), origin))
     for dom in masks:
         assert dom.diameter() == _all_pairs_diameter(dom)
+
+
+def _all_cells_dist_to_complement(dom: RasterMask, pts: np.ndarray) -> np.ndarray:
+    """The distance to the complement as every empty cell gives it (the reference)."""
+    o = np.asarray(dom.origin)
+    hi = o + np.asarray(dom.mask.shape) * dom.h
+    d_ext = np.min(np.minimum(pts - o, hi - pts), axis=1)
+    cell_lo = o + np.argwhere(~dom.mask) * dom.h
+    if len(cell_lo) == 0:
+        return d_ext
+    gap = np.maximum(np.maximum(cell_lo[None] - pts[:, None], pts[:, None] - (cell_lo + dom.h)[None]), 0.0)
+    return np.minimum(d_ext, np.sqrt(np.sum(gap**2, axis=2)).min(axis=1))
+
+
+def test_raster_distance_from_face_neighbours_is_the_all_cells_value():
+    masks = [lshape_mask(0.05)]
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        shape = tuple(int(m) for m in rng.integers(2, 30, size=2))
+        mask = rng.random(shape) < rng.uniform(0.3, 0.95)
+        mask.flat[rng.integers(mask.size)] = True  # at least one filled cell
+        masks.append(RasterMask(mask, float(rng.uniform(0.01, 0.3)), tuple(rng.uniform(-3.0, 3.0, size=2))))
+    for dom in masks:
+        idx = np.argwhere(dom.mask)
+        # the cell centers inscribed_radius uses, and points anywhere in the filled cells
+        for pts in (dom._cell_centers(), np.asarray(dom.origin) + (idx + rng.random(idx.shape)) * dom.h):
+            assert np.array_equal(dom._dist_to_complement(pts), _all_cells_dist_to_complement(dom, pts))

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import re
 import warnings
 
 import numpy as np
@@ -256,6 +258,43 @@ def test_path_budget_error(monkeypatch):
     monkeypatch.setattr(mc, "MAX_STEPS", 8)
     with pytest.raises(mc.PathBudgetError):
         estimate_exit(cfg(delta=1e-6, paths=1000, seed=1), interval(-1.0, 1.0), 0.0)
+
+
+WORKER_CASES = [(1.3, 1, 1001, interval(-1.0, 1.0)), (1.0, 2, 1000, Ball((0.0, 0.0), 1.0))]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("alpha, d, paths, domain", WORKER_CASES)
+def test_estimate_exit_identical_for_any_worker_count(monkeypatch, alpha, d, paths, domain, block):
+    if block is not None:
+        # ranges of whole 7-path windows end inside the default windows
+        monkeypatch.setattr(mc, "_BLOCK", block)
+    c = cfg(alpha=alpha, d=d, seed=31, paths=paths)
+    ref = estimate_exit(c, domain, np.zeros(d))
+    for workers in (2, 3):
+        est = estimate_exit(c, domain, np.zeros(d), workers=workers)
+        assert multiprocessing.active_children() == []
+        assert est.mean_exit_time == ref.mean_exit_time
+        assert est.ci_halfwidth == ref.ci_halfwidth
+        assert np.array_equal(est.ts, ref.ts)
+        assert np.array_equal(est.survival, ref.survival)
+        assert np.array_equal(est.survival_ci, ref.survival_ci)
+        assert est.increments_drawn == ref.increments_drawn
+        assert est.useful_ratio == ref.useful_ratio
+
+
+def test_path_budget_error_from_a_child_names_the_global_path(monkeypatch):
+    c = cfg(alpha=1.3, seed=1, paths=1000)
+    domain = interval(-1.0, 1.0)
+    steps = _exit_steps(c, domain, np.zeros(1))
+    # 2 workers split the 8 windows at path 512; let every path of the first range exit in budget
+    assert steps[512:].max() > steps[:512].max()
+    monkeypatch.setattr(mc, "MAX_STEPS", int(steps[:512].max()))
+    with pytest.raises(mc.PathBudgetError) as info:
+        estimate_exit(c, domain, 0.0, workers=2)
+    assert multiprocessing.active_children() == []
+    path = int(re.match(r"path (\d+) exceeded", str(info.value)).group(1))
+    assert 512 <= path < 1000 and steps[path] > mc.MAX_STEPS
 
 
 def test_survival_comparison_identical_domains():
