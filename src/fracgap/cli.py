@@ -10,9 +10,10 @@ writes the CSV tables. Every command's report lists the files it wrote in its
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
 the seed) at a fixed BLAS thread count: identical invocations then produce
-identical bytes. The worker count changes no value: `mc` and `suite` results
-are the same for any --workers. Across BLAS thread counts the last bits of
-eigenvalues, eigenvectors and exit times can change.
+identical bytes. The process count changes no value: `suite` results are the
+same for any --workers, and `mc` results for any number of usable cores.
+Across BLAS thread counts the last bits of eigenvalues, eigenvectors and exit
+times can change.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .constants import (
 from .geometry import Ball, BallUnion, Box, Domain, IntervalUnion, load_mask
 from .operator import AssemblyError, SolveError, assemble, exit_time
 from .spectra import _write_table, export_eigenpairs_csv, level_set_report
-from .montecarlo import PathBudgetError, StableSamplerConfig, estimate_exit, survival_log_slope
-from .parallel import usable_cores
+from .montecarlo import PathBudgetError, StableSamplerConfig, estimate_exit, survival_log_slope, _walk_workers
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -145,8 +145,6 @@ FLAGS: dict[str, dict] = {
         "paths": (_integer, 10000),
         "seed": (_integer, 1),
         "grid_h": (_finite, None),
-        # None: every usable core
-        "workers": (_workers, None),
         "out": (str, None),
     },
 }
@@ -396,7 +394,7 @@ def cmd_mc(cfg: dict) -> int:
         _, x0 = domain.inscribed_radius()
     else:
         x0 = np.array(cfg["x0"])
-    est = estimate_exit(sampler, domain, x0, workers=cfg["workers"] or usable_cores())
+    est = estimate_exit(sampler, domain, x0, workers=_walk_workers(sampler.paths))
     try:
         slope = survival_log_slope(est)
     except ValueError:

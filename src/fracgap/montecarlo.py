@@ -22,7 +22,7 @@ So a round is nearly always full, and the values for a given seed are
 those of walking each path alone. With workers > 1 the paths are split into
 contiguous ranges of whole windows, walked at once in forked processes
 (`parallel.fork_map`), and the same argument makes the split invisible in
-every value.
+every value. `_walk_workers` says how many processes pay off for a path count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Domain, contains
-from .parallel import fork_map
+from .parallel import fork_map, usable_cores
 
 __all__ = [
     "StableSamplerConfig",
@@ -50,6 +50,11 @@ MAX_STEPS = 10**6
 # generator slots walked together, and steps per round; exit times do not depend on either
 _BLOCK = 128
 _CHUNK = 128
+# windows each worker process walks at least. On a 2-core x86 host, 8 windows of
+# the cheapest default walk (1D, alpha = 1, delta = 1e-3) take ~45 ms, and each
+# forked child costs the caller ~5 ms before it starts its own range, so with
+# p processes (p - 1) forks stay well below the (p - 1) / p of the walk they save
+_MIN_WINDOWS_PER_WORKER = 8
 # numpy.random.SeedSequence's pool size and hash constants, and PCG64's multiplier
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -299,6 +304,11 @@ def _walk_part(
     return exit_steps, _walk(cfg, domain, x0, exit_steps, first)
 
 
+def _walk_workers(paths: int) -> int:
+    """Processes worth walking `paths` paths on: the usable cores, each with _MIN_WINDOWS_PER_WORKER windows or more."""
+    return max(1, min(usable_cores(), -(-paths // _BLOCK) // _MIN_WINDOWS_PER_WORKER))
+
+
 def estimate_exit(
     cfg: StableSamplerConfig, domain: Domain, x0, ts: np.ndarray | None = None, workers: int = 1
 ) -> ExitEstimate:
@@ -360,22 +370,20 @@ def survival_comparison(
     ts,
     x0_a=None,
     x0_b=None,
-    workers: int = 1,
 ) -> list[dict]:
     """Check P(tau_A >= t) <= P(tau_B >= t) + 2 * joint CI at each requested t.
 
     Intended for |A| = |B| with B a ball or interval, started at the
     respective centers; the continuum inequality is the isoperimetric
-    exit-time comparison. The two domains use decorrelated seeds. Each
-    estimate walks its paths on `workers` processes, as in estimate_exit.
+    exit-time comparison. The two domains use decorrelated seeds.
     """
     ts = np.asarray(ts, dtype=float)
     if x0_a is None:
         _, x0_a = domain_a.inscribed_radius()
     if x0_b is None:
         _, x0_b = domain_b.inscribed_radius()
-    est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts, workers=workers)
-    est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts, workers=workers)
+    est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts)
+    est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts)
     out = []
     for i, t in enumerate(ts):
         joint = math.hypot(float(est_a.survival_ci[i]), float(est_b.survival_ci[i]))

@@ -408,7 +408,7 @@ def test_mc_sampler_inputs_are_usage_errors(tmp_path, capsys, flag, value, messa
         pytest.param(["mc", "--domain", "interval:-1,1"], {"paths": 1000.9}, id="paths-fraction"),
         pytest.param(["solve", "--domain", "interval:-1,1", "--h", "0.05"], {"k": 2.5}, id="k-fraction"),
         pytest.param(["constants"], {"dim": 1.9}, id="dim-fraction"),
-        pytest.param(["mc", "--domain", "interval:-1,1"], {"workers": 1.5}, id="workers-fraction"),
+        pytest.param(["suite"], {"workers": 1.5}, id="workers-fraction"),
         pytest.param(["suite", "--workers", "0"], None, id="workers-zero"),
     ],
 )
@@ -429,12 +429,24 @@ def test_integer_flags_accept_integral_numbers(tmp_path, capsys):
     assert json.loads(out)["d"] == 2
 
 
-def test_mc_report_independent_of_workers(tmp_path, capsys):
-    argv = ["mc", "--domain", "ball:0,0,1", "--delta", "0.01", "--paths", "1200", "--seed", "4"]
+def test_mc_report_independent_of_workers(tmp_path, capsys, monkeypatch):
+    import fracgap.montecarlo as mc
+
+    fork_map, used = mc.fork_map, []
+
+    def recording_fork_map(fn, tasks, workers):
+        used.append(workers)
+        return fork_map(fn, tasks, workers)
+
+    monkeypatch.setattr(mc, "fork_map", recording_fork_map)
+    # 17 windows, the last holding one path: 1 worker on one core, 2 on two
+    argv = ["mc", "--domain", "ball:0,0,1", "--delta", "0.01", "--paths", "2049", "--seed", "4"]
     reports = {}
     for workers in ("1", "2"):
-        code, out = run_cli(capsys, *argv, "--workers", workers, "--out", str(tmp_path / workers))
+        monkeypatch.setattr(mc, "usable_cores", lambda: int(workers))
+        code, out = run_cli(capsys, *argv, "--out", str(tmp_path / workers))
         assert code == 0
+        assert used.pop() == int(workers)
         reports[workers] = {key: val for key, val in json.loads(out).items() if key != "files"}
     assert reports["1"] == reports["2"]
     assert (tmp_path / "1" / "survival.csv").read_bytes() == (tmp_path / "2" / "survival.csv").read_bytes()

@@ -287,7 +287,8 @@ def test_path_budget_error_from_a_child_names_the_global_path(monkeypatch):
     c = cfg(alpha=1.3, seed=1, paths=1000)
     domain = interval(-1.0, 1.0)
     steps = _exit_steps(c, domain, np.zeros(1))
-    # 2 workers split the 8 windows at path 512; let every path of the first range exit in budget
+    # 2 workers split the 8 windows at path 512; let every path of the first range exit in budget,
+    # so the error comes from whichever worker took the second range
     assert steps[512:].max() > steps[:512].max()
     monkeypatch.setattr(mc, "MAX_STEPS", int(steps[:512].max()))
     with pytest.raises(mc.PathBudgetError) as info:
@@ -295,6 +296,15 @@ def test_path_budget_error_from_a_child_names_the_global_path(monkeypatch):
     assert multiprocessing.active_children() == []
     path = int(re.match(r"path (\d+) exceeded", str(info.value)).group(1))
     assert 512 <= path < 1000 and steps[path] > mc.MAX_STEPS
+
+
+@pytest.mark.parametrize(
+    "cores, paths, workers",
+    [(64, 1000, 1), (64, 1920, 1), (64, 1921, 2), (64, 10000, 9), (2, 10000, 2), (1, 10000, 1)],
+)
+def test_walk_workers_gives_each_process_enough_windows(monkeypatch, cores, paths, workers):
+    monkeypatch.setattr(mc, "usable_cores", lambda: cores)
+    assert mc._walk_workers(paths) == workers
 
 
 def test_survival_comparison_identical_domains():
