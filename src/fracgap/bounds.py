@@ -11,7 +11,6 @@ pipeline formula.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,7 +44,6 @@ __all__ = [
     "suite_domains",
     "run_suite",
     "suite_passed",
-    "write_suite_csv",
     "solve_domain",
 ]
 
@@ -367,22 +365,3 @@ def suite_passed(reports: Sequence[BoundReport], variant: str = "derived") -> bo
     """Conjunction of the asserted verdicts: thm1, thm2 (given variant), and prop."""
     gate = "thm2_" + variant
     return all(r.verdicts["thm1"] and r.verdicts[gate] and r.verdicts["prop"] for r in reports)
-
-
-def write_suite_csv(reports: Sequence[BoundReport], path) -> None:
-    """Aggregate one row per run: margins are lhs/rhs ratios of the verdict sides."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "alpha", "lambda1", "lambda2", "gap", "thm1_margin", "thm2_margin"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.label,
-                    r.alpha,
-                    repr(r.lambda1),
-                    repr(r.lambda2),
-                    repr(r.gap),
-                    repr(r.sup_phi1 / r.thm1_rhs),
-                    repr(r.gap / r.thm2_rhs_derived),
-                ]
-            )

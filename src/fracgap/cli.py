@@ -356,7 +356,13 @@ def cmd_suite(cfg: dict) -> int:
     paths = {}
     if out:
         paths = {"csv": out / "suite.csv", "json": out / "suite.json"}
-        bounds.write_suite_csv(reports, paths["csv"])
+        # one row per run; the margins are the lhs/rhs ratios of the verdicts
+        rows = [
+            (r.label, r.alpha, r.lambda1, r.lambda2, r.gap, r.sup_phi1 / r.thm1_rhs, r.gap / r.thm2_rhs_derived)
+            for r in reports
+        ]
+        header = ["domain", "alpha", "lambda1", "lambda2", "gap", "thm1_margin", "thm2_margin"]
+        _write_csv(paths["csv"], header, zip(*rows))
     report = _report(
         "suite_report",
         passed=bool(passed),

@@ -23,8 +23,8 @@ along the last axis before the full transform along the first, and the
 inverse pass keeps only the box's rows before the last-axis inverse, so no
 transform runs over rows that are all zero or never read. The results are
 bitwise those of the full rfftn/irfftn pair. `weights` and
-`matrix` gather the dense n x n arrays on demand, for the small-n oracles,
-and refuse more than MAX_DENSE_NODES cells.
+`matrix` gather the dense n x n arrays on demand, for dense `eigh` and the
+small-n oracles, and refuse more than MAX_DENSE_NODES cells.
 
 kill_i is the table summed over the outside cells of the lattice box, so a
 nearest neighbor outside feeds the self-cell coefficient into kill (the
@@ -44,8 +44,9 @@ already diagonalizes: M = mean(diag) - W extended circulantly over the
 padded box, restricted to the inside cells. Its symbol is mean(diag) minus
 the table's symbol, clamped below at min(kill), so M is SPD and costs one
 FFT pair per iteration (Chan & Ng, SIAM Review 1996; Lei & Sun, J. Comput.
-Phys. 2013). The Green/harmonic split stays dense and Cholesky-based: it is
-the reference the tests compare with.
+Phys. 2013). Systems on a node subset U, for the sup of the exit time of U
+and for the Green/harmonic split, run the same PCG on H and M restricted to
+U: extend by zero, apply, read back on U. No factorization is formed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor  # noqa: F401  unused; bound for perfbench/tracer.py, which wraps it
 
 from .constants import StableParams, norm_constant
 from .geometry import Grid
@@ -71,7 +72,7 @@ __all__ = [
     "dynkin_decomposition",
 ]
 
-MAX_DENSE_NODES = 5000  # cap of the n x n oracles (weights, matrix, dynkin, survival); ~70x70 cells in 2D
+MAX_DENSE_NODES = 5000  # cap of the dense n x n arrays (weights, matrix); ~70x70 cells in 2D
 NEAR_RANGE = 2  # Chebyshev index distance treated with subdivided quadrature
 SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
@@ -93,7 +94,7 @@ class AssemblyError(RuntimeError):
 
 
 class SolveError(RuntimeError):
-    """A linear solve, factorization or eigensolve failed or did not converge."""
+    """A linear solve or eigensolve failed or did not converge."""
 
 
 @dataclass
@@ -362,13 +363,6 @@ def assemble(grid: Grid, alpha: float) -> KilledOperator:
     )
 
 
-def _chol(H: np.ndarray):
-    try:
-        return cho_factor(H, lower=True)
-    except LinAlgError as exc:
-        raise SolveError("operator matrix is not positive definite") from exc
-
-
 def _pcg(apply, precondition, b: np.ndarray) -> np.ndarray:
     """Solve the SPD system apply(x) = b by preconditioned conjugate gradients.
 
@@ -376,6 +370,8 @@ def _pcg(apply, precondition, b: np.ndarray) -> np.ndarray:
     runs do not import scipy.sparse (about 4 MB of resident memory).
     """
     x = np.zeros_like(b)
+    if not b.any():  # the solution is 0; the iteration would divide by p.q = 0
+        return x
     r = b.copy()
     z = precondition(r)
     p = z.copy()
@@ -422,9 +418,8 @@ def _subset_indices(op: KilledOperator, subset) -> np.ndarray:
     return u
 
 
-def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
-    """Max expected exit time of the operator restricted to the given nodes."""
-    u = _subset_indices(op, subset)
+def _solve_on(op: KilledOperator, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """H_UU x = b over the nodes u, by the circulant PCG with H and M restricted to U."""
 
     def on_u(f):
         """f acting on vectors over U: extend by zero, apply, read back on U."""
@@ -436,7 +431,13 @@ def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
 
         return restricted
 
-    return float(_pcg(on_u(op.apply), on_u(op.precondition), np.ones(len(u))).max())
+    return _pcg(on_u(op.apply), on_u(op.precondition), b)
+
+
+def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
+    """Max expected exit time of the operator restricted to the given nodes."""
+    u = _subset_indices(op, subset)
+    return float(_solve_on(op, u, np.ones(len(u))).max())
 
 
 def dynkin_decomposition(
@@ -447,16 +448,14 @@ def dynkin_decomposition(
     Returns (P f, G (H f)|_U) where P applies the discrete harmonic measure
     of U to the values of f outside U and G is the Green operator of U.
     The identity f|_U = P f + G (H f)|_U holds exactly; with f an
-    eigenvector the Green part is lambda * G f|_U.
+    eigenvector the Green part is lambda * G f|_U. Both parts are restricted
+    solves, so the split runs at any n.
     """
     u = _subset_indices(op, subset)
     f = np.asarray(f, dtype=float)
-    comp = np.setdiff1d(np.arange(op.n), u, assume_unique=False)
-    H = op.matrix()
-    fac = _chol(H[np.ix_(u, u)])
-    if len(comp):
-        harmonic = cho_solve(fac, -H[np.ix_(u, comp)] @ f[comp])  # off-diagonal H is -W
-    else:
-        harmonic = np.zeros(len(u))
-    green = cho_solve(fac, (H @ f)[u])
+    outside = f.copy()
+    outside[u] = 0.0
+    # -H_{U,U^c} f_{U^c} = (W f_{U^c})|_U: zero when f vanishes off U
+    harmonic = _solve_on(op, u, -op.apply(outside)[u])
+    green = _solve_on(op, u, op.apply(f)[u])
     return harmonic, green

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh, LinAlgError
 
 from .constants import StableParams, ball_exit_constant, unit_ball_volume
-from .operator import KilledOperator, SolveError, solve, sup_exit_time
+from .operator import MAX_DENSE_NODES, KilledOperator, SolveError, solve, sup_exit_time
 
 __all__ = [
     "EigenSolution",
@@ -121,14 +121,22 @@ def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
 
     Dense eigh below LANCZOS_MIN_NODES inside cells (or when k is within 1
     of n); from there on ARPACK on the matrix-free operator, plain Lanczos in
-    2D and shift-invert in 1D. Either way every pair must satisfy
-    ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
+    2D and shift-invert in 1D, while its n x (2k + 1) basis fits in
+    MAX_DENSE_NODES^2 doubles, the dense matrix's footprint; past that, dense
+    eigh up to MAX_DENSE_NODES cells and ValueError above. Every pair must
+    satisfy ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if k > op.n:
         raise ValueError(f"k = {k} exceeds the number of nodes {op.n}")
-    if op.n < LANCZOS_MIN_NODES or k >= op.n - 1:  # ARPACK needs k < n - 1
+    arpack_fits = op.n * (2 * k + 1) <= MAX_DENSE_NODES**2
+    if op.n < LANCZOS_MIN_NODES or k >= op.n - 1 or not arpack_fits:  # ARPACK needs k < n - 1
+        if op.n > MAX_DENSE_NODES:
+            raise ValueError(
+                f"k = {k} at n = {op.n}: ARPACK's n x (2k + 1) basis and the dense matrix both exceed "
+                f"MAX_DENSE_NODES^2 = {MAX_DENSE_NODES**2} doubles; choose a smaller k or a coarser h"
+            )
         vals, vecs = _dense_eigh(op, k)
     else:
         vals, vecs = _lanczos(op, k, shift_invert=op.d == 1)
@@ -246,10 +254,11 @@ def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarra
 
 def _write_table(fh, header: list[str], columns) -> None:
     """Write a table as csv.writer would: comma-joined fields, CRLF line ends,
-    no quoting (no header name or number needs any). Each column is converted
-    once; ints print as str and floats as repr, which reads back exactly. Rows
-    are streamed, so the whole text is never held at once."""
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    no quoting (no header name, label or number needs any). Each column is
+    converted once: labels as they are, numbers by repr, which reads back
+    exactly and runs faster than str. Rows are streamed, so the whole text is
+    never held at once."""
+    cells = [map(str if col.dtype.kind == "U" else repr, col.tolist()) for col in map(np.asarray, columns)]
     fh.write(",".join(header) + "\r\n")
     fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells)))
 

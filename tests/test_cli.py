@@ -79,6 +79,14 @@ def test_oversized_lattice_is_a_usage_error(tmp_path, capsys):
     assert "choose a coarser h" in capsys.readouterr().err
 
 
+def test_too_many_eigenpairs_is_a_usage_error(tmp_path, capsys):
+    # n = 10000: ARPACK's arrays for k = 5000 would take ~1.6 GB, and the dense matrix is capped
+    argv = ["solve", "--domain", "interval:-1,1", "--h", "2e-4", "--k", "5000", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "k = 5000 at n = 10000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_command(tmp_path, capsys, schema):
     code, out = run_cli(
         capsys,
@@ -251,9 +259,14 @@ def test_suite_command(tmp_path, capsys, schema):
     assert len(obj["reports"]) == 6
     published = {r["label"] for r in obj["reports"] if r["published_value"] is not None}
     assert published == {"interval", "square", "disk"}
-    csv_lines = (tmp_path / "suite.csv").read_text().splitlines()
-    assert csv_lines[0] == "domain,alpha,lambda1,lambda2,gap,thm1_margin,thm2_margin"
-    assert len(csv_lines) == 7
+    # one row per run, as csv.writer renders it from the reported values
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["domain", "alpha", "lambda1", "lambda2", "gap", "thm1_margin", "thm2_margin"])
+    for r in obj["reports"]:
+        values = (r["lambda1"], r["lambda2"], r["gap"], r["sup_phi1"] / r["thm1_rhs"], r["gap"] / r["thm2_rhs_derived"])
+        writer.writerow([r["label"], r["alpha"], *map(repr, values)])
+    assert (tmp_path / "suite.csv").read_bytes() == want.getvalue().encode()
 
 
 def test_published_value_only_on_canonical_domains(tmp_path, capsys):

@@ -305,9 +305,16 @@ def test_dense_oracles_refuse_above_cap():
 
     _, op = interval_op(-1.0, 1.0, 0.0002)  # 10000 inside cells
     with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
-        dynkin_decomposition(op, np.arange(10), np.ones(op.n))
-    with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
         survival_profile(op, 0, np.array([1.0]))
+
+
+def test_dynkin_identity_above_old_dense_cap():
+    _, op = interval_op(-1.0, 1.0, 0.0002)  # 10000 inside cells
+    assert op.n > operator.MAX_DENSE_NODES
+    f = np.cos(op.centers[:, 0])
+    u = np.flatnonzero(np.abs(op.centers[:, 0]) < 0.5)
+    harmonic, green = dynkin_decomposition(op, u, f)
+    assert np.abs(f[u] - harmonic - green).max() <= 1e-10
 
 
 def test_square_residual_on_disk_profile():
@@ -415,6 +422,34 @@ def test_cg_exit_times_match_cholesky(suite_ops):
         u = np.flatnonzero(want >= want.max() / 2.0)
         want_u = cho_solve(cho_factor(H[np.ix_(u, u)]), np.ones(len(u))).max()
         assert sup_exit_time(op, u) == pytest.approx(want_u, rel=1e-11), label
+
+
+def test_dynkin_split_matches_cholesky(suite_ops):
+    rng = np.random.default_rng(7)
+    for label, op in suite_ops:
+        H = op.matrix()
+        s = cho_solve(cho_factor(H), np.ones(op.n))
+        u = np.flatnonzero(s >= s.max() / 2.0)
+        comp = np.setdiff1d(np.arange(op.n), u)
+        f = rng.standard_normal(op.n)
+        fac = cho_factor(H[np.ix_(u, u)])
+        want_harmonic = cho_solve(fac, -H[np.ix_(u, comp)] @ f[comp])
+        want_green = cho_solve(fac, (H @ f)[u])
+        harmonic, green = dynkin_decomposition(op, u, f)
+        assert np.abs(harmonic - want_harmonic).max() <= 1e-11 * np.abs(want_harmonic).max(), label
+        assert np.abs(green - want_green).max() <= 1e-11 * np.abs(want_green).max(), label
+
+
+def test_zero_right_hand_side_gives_zero():
+    _, op = interval_op(-1.0, 1.0, 0.02)
+    assert np.array_equal(operator.solve(op, np.zeros(op.n)), np.zeros(op.n))
+    # f vanishes off U, so the harmonic part is exactly 0 and the Green part is f on U
+    u = np.flatnonzero(np.abs(op.centers[:, 0]) < 0.5)
+    f = np.zeros(op.n)
+    f[u] = np.cos(op.centers[u, 0])
+    harmonic, green = dynkin_decomposition(op, u, f)
+    assert np.array_equal(harmonic, np.zeros(len(u)))
+    assert np.abs(f[u] - green).max() <= 1e-12
 
 
 def test_cg_without_convergence_raises(monkeypatch):

@@ -281,3 +281,28 @@ def test_shift_invert_matches_dense_eigh_1d(n, alpha):
     again = eigenpairs(op, 6)
     assert np.array_equal(sol.lambdas, again.lambdas)
     assert np.array_equal(sol.phis, again.phis)
+
+
+def test_k_beyond_the_lanczos_basis_cap(monkeypatch):
+    # ARPACK runs only while its n x (2k + 1) basis fits in MAX_DENSE_NODES^2 doubles;
+    # the recorders stand in for the solvers, so nothing large is allocated
+    class Chosen(Exception):
+        pass
+
+    def record(name):
+        def solver(op, k, **_):
+            raise Chosen(name)
+
+        return solver
+
+    monkeypatch.setattr(spectra, "_lanczos", record("lanczos"))
+    monkeypatch.setattr(spectra, "_dense_eigh", record("dense"))
+    op = assemble(rasterize(interval(-1.0, 1.0), 0.002), 1.0)
+    assert op.n == 1000 >= spectra.LANCZOS_MIN_NODES
+    monkeypatch.setattr(spectra, "MAX_DENSE_NODES", 1100)  # 1100^2 = 1000 * 1210
+    for k, path in ((604, "lanczos"), (605, "dense")):
+        with pytest.raises(Chosen, match=path):
+            eigenpairs(op, k)
+    monkeypatch.setattr(spectra, "MAX_DENSE_NODES", 999)  # below n: no dense fallback either
+    with pytest.raises(ValueError, match="k = 605 at n = 1000"):
+        eigenpairs(op, 605)
