@@ -164,12 +164,9 @@ def parse_domain(text: str) -> Domain:
     if not sep:
         raise UsageError(f"bad domain {text!r}; expected kind:params")
     try:
-        if kind == "interval":
-            a, b = (float(t) for t in rest.split(","))
-            return geometry.interval(a, b)
-        if kind == "intervals":
-            ivs = tuple(tuple(float(t) for t in piece.split(",")) for piece in rest.split(";"))
-            return IntervalUnion(ivs)  # type: ignore[arg-type]
+        if kind in ("interval", "intervals"):
+            pieces = [rest] if kind == "interval" else rest.split(";")
+            return IntervalUnion(tuple(tuple(float(t) for t in piece.split(",")) for piece in pieces))  # type: ignore[arg-type]
         if kind == "box":
             vals = [float(t) for t in rest.split(",")]
             if len(vals) not in (2, 4):

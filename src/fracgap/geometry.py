@@ -67,6 +67,9 @@ class IntervalUnion:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ValueError("interval union must be nonempty")
+        for piece in self.intervals:
+            if len(piece) != 2:
+                raise ValueError(f"interval piece {piece} needs 2 numbers (a, b), got {len(piece)}")
         for a, b in self.intervals:
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"invalid interval ({a}, {b})")
@@ -111,6 +114,9 @@ class Ball:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if len(self.center) not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
+        for i, c in enumerate(self.center):
+            if not math.isfinite(c):
+                raise ValueError(f"center coordinate {i + 1} must be finite, got {c}")
 
     @property
     def d(self) -> int:

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401  unused; bound for perfbench/tracer.py, which wraps it
 
 from .constants import StableParams, norm_constant
 from .geometry import Grid
@@ -95,6 +94,15 @@ class AssemblyError(RuntimeError):
 
 class SolveError(RuntimeError):
     """A linear solve or eigensolve failed or did not converge."""
+
+
+def cho_factor(a, *args, **kwargs):
+    """scipy.linalg.cho_factor, imported on the first call. The package factors
+    nothing; the name stays bound for the benchmark tracer, which wraps it, and
+    importing scipy.linalg here would cost every command ~0.4 s."""
+    from scipy.linalg import cho_factor as factor
+
+    return factor(a, *args, **kwargs)
 
 
 @dataclass

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, LinAlgError
 
 from .constants import StableParams, ball_exit_constant, unit_ball_volume
 from .operator import MAX_DENSE_NODES, KilledOperator, SolveError, solve, sup_exit_time
@@ -45,7 +44,8 @@ __all__ = [
 # (4.4-5.2x slower than plain Lanczos at n = 4003, alpha 0.5-1.7; 4.4x and
 # 2.5x at n = 31428, alpha 1 and 1.7).
 LANCZOS_MIN_NODES = 1000
-LANCZOS_MAX_RESTARTS = 1000  # ARPACK restarts; the disk at n = 4003 needs ~20
+# ARPACK restarts; the disk needs 13 at n = 4003 (alpha 1) and 44 at n = 7860 (alpha 1.7)
+LANCZOS_MAX_RESTARTS = 1000
 EIG_RESIDUAL_TOL = 1e-8  # bound on max_j ||H phi_j - lambda_j phi_j|| / lambda_j
 
 
@@ -87,6 +87,10 @@ class LevelSetReport:
 
 def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the dense matrix by LAPACK."""
+    # imported here, as in survival_profile: scipy.linalg takes ~0.4 s to import,
+    # and commands that solve no eigenproblem (exit-time, constants) never load it
+    from scipy.linalg import LinAlgError, eigh
+
     try:
         return eigh(op.matrix(), subset_by_index=(0, k - 1))
     except LinAlgError as exc:
@@ -95,7 +99,14 @@ def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs by implicitly restarted Lanczos (ARPACK): on op.apply,
-    or with shift_invert on H^-1 applied by circulant-preconditioned CG."""
+    or with shift_invert on H^-1 applied by circulant-preconditioned CG.
+
+    ARPACK stops once every Ritz pair has ||H phi - lambda phi|| <= tol * |lambda|,
+    the relative residual that eigenpairs checks; tol is a hundredth of that
+    check's bound, EIG_RESIDUAL_TOL. Against tol = 0 (machine precision) the disk
+    at n = 4003 takes 186 applies instead of 238 and lambda moves by < 1e-14
+    relative. With shift_invert the test applies to the pairs of H^-1, and the
+    inner CG's accuracy sets the residual."""
     # imported here: it adds ~4 MB, and only solves above the crossover need it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -109,7 +120,7 @@ def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np
     else:
         mode = {"which": "SA"}
     try:
-        vals, vecs = eigsh(H, k=k, tol=0, v0=v0, maxiter=LANCZOS_MAX_RESTARTS, **mode)
+        vals, vecs = eigsh(H, k=k, tol=EIG_RESIDUAL_TOL / 100, v0=v0, maxiter=LANCZOS_MAX_RESTARTS, **mode)
     except ArpackError as exc:
         raise SolveError(f"Lanczos eigensolver failed: {exc}") from exc
     order = np.argsort(vals, kind="stable")
@@ -245,6 +256,8 @@ def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarra
     Evaluates exp(-t H) 1 at the node through the full spectral
     decomposition, which is exact for the discrete semigroup.
     """
+    from scipy.linalg import eigh
+
     H = op.matrix()
     vals, vecs = eigh(H)
     weights = vecs[node, :] * (vecs.sum(axis=0))

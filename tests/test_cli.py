@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -49,6 +53,49 @@ def test_parse_domain_errors(bad):
 
     with pytest.raises(UsageError):
         parse_domain(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ball:0,nan,1", "center coordinate 2 must be finite, got nan"),
+        ("ball:inf,0,1", "center coordinate 1 must be finite, got inf"),
+        ("balls:0,0,1;nan,5,1", "center coordinate 1 must be finite, got nan"),
+        ("interval:-1,1,2,3", "interval piece (-1.0, 1.0, 2.0, 3.0) needs 2 numbers"),
+        ("intervals:0,1,2;3,4", "interval piece (0.0, 1.0, 2.0) needs 2 numbers"),
+        ("intervals:0,1;3", "interval piece (3.0,) needs 2 numbers"),
+    ],
+)
+def test_bad_centres_and_interval_pieces_are_named(tmp_path, capsys, text, message):
+    from fracgap.cli import UsageError
+
+    with pytest.raises(UsageError) as exc:
+        parse_domain(text)
+    assert message in str(exc.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+        assert main(["exit-time", "--domain", text, "--h", "0.05", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and message in err
+    assert "numpy" not in err and "unpack" not in err and "convert" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_time_and_constants_import_no_scipy(tmp_path):
+    # a fresh interpreter: the test session has long imported scipy itself
+    code = f"""
+import sys
+from fracgap.cli import main
+assert main(["exit-time", "--domain", "interval:-1,1", "--h", "0.02", "--out", {str(tmp_path)!r}]) == 0
+assert main(["exit-time", "--domain", "ball:0,0,1", "--h", "0.2"]) == 0
+assert main(["constants", "--alpha", "1.5", "--dim", "2"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = str(resources.files("fracgap").parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_constants_command(capsys, schema):

@@ -262,6 +262,12 @@ def test_domain_validation():
         IntervalUnion(((1.0, 0.0),))
     with pytest.raises(ValueError):
         Ball((0.0, 0.0), -1.0)
+    for center in [(0.0, float("nan")), (float("inf"), 0.0), (float("-inf"),)]:
+        with pytest.raises(ValueError, match="center coordinate .* must be finite"):
+            Ball(center, 1.0)
+    for piece in [(-1.0, 1.0, 2.0, 3.0), (0.0,), ()]:
+        with pytest.raises(ValueError, match="interval piece .* needs 2 numbers"):
+            IntervalUnion(((5.0, 6.0), piece))
     with pytest.raises(ValueError):
         Box((0.0, 0.0), (1.0, -1.0))
     with pytest.raises(ValueError):

@@ -228,6 +228,47 @@ def test_lanczos_matches_dense_eigh(alpha):
                 assert overlap == pytest.approx(1.0, abs=1e-8), (label, j)
 
 
+def test_lanczos_stops_at_a_hundredth_of_the_residual_bound(monkeypatch):
+    import scipy.sparse.linalg
+
+    tols = []
+    real = scipy.sparse.linalg.eigsh
+
+    def recorder(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorder)
+    _lanczos(assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.1), 1.0), 6)
+    _lanczos(assemble(rasterize(interval(-1.0, 1.0), 0.02), 1.0), 6, shift_invert=True)
+    assert tols == [spectra.EIG_RESIDUAL_TOL / 100] * 2
+
+
+STOPPING_RULE_CASES = [
+    pytest.param(dom, h, alpha, id=f"{label}-{alpha}")
+    for label, dom, h in suite_domains(h2d=0.05)
+    if dom.d == 2
+    for alpha in (0.5, 1.0, 1.5)
+] + [pytest.param(Ball((0.0, 0.0), 1.0), 0.028, 1.0, id="disk-h0.028-1.0")]
+
+
+@pytest.mark.parametrize("dom, h, alpha", STOPPING_RULE_CASES)
+def test_lanczos_stopping_rule_keeps_eigenvalues(dom, h, alpha):
+    # against ARPACK run to machine precision (tol = 0) from the same start vector
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    k = 6
+    op = assemble(rasterize(dom, h), alpha)
+    assert op.n >= spectra.LANCZOS_MIN_NODES  # the cases eigenpairs sends to Lanczos
+    vals, vecs = _lanczos(op, k)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n)
+    H = LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
+    exact = np.sort(eigsh(H, k=k, which="SA", tol=0, v0=v0, maxiter=spectra.LANCZOS_MAX_RESTARTS)[0])
+    assert (np.abs(vals - exact) <= 1e-13 * exact).all()
+    resid = max(np.linalg.norm(op.apply(vecs[:, j]) - vals[j] * vecs[:, j]) / vals[j] for j in range(k))
+    assert resid <= spectra.EIG_RESIDUAL_TOL / 10
+
+
 @pytest.fixture(scope="module")
 def disk_lanczos_op():
     op = assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.05), 1.0)
