@@ -122,7 +122,6 @@ FLAGS: dict[str, dict] = {
         "alphas": (_list_of(_alpha), (0.5, 1.0, 1.5)),
         "h1d": (_finite, 0.005),
         "h2d": (_finite, 0.05),
-        "k": (_integer, 6),
         "workers": (_workers, 1),
         "variant": (_variant, "derived"),
         "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
@@ -294,16 +293,14 @@ def cmd_solve(cfg: dict) -> int:
 
 def _exact_center_value(domain: Domain, p: StableParams) -> float | None:
     """Exact max exit time, attained at the center, when the domain is a ball
-    (or a single interval, or a 1D box) of radius r: r^alpha times the
-    unit-ball constant."""
-    if (
-        isinstance(domain, Ball)
-        or (isinstance(domain, IntervalUnion) and len(domain.intervals) == 1)
-        or (isinstance(domain, Box) and domain.d == 1)
-    ):
-        r, _ = domain.inscribed_radius()
-        return r**p.alpha * ball_exit_constant(p)
-    return None
+    of radius r (an interval in 1D): r^alpha times the unit-ball constant.
+
+    Every domain's diameter is exact or an upper bound and its inscribed radius
+    exact or a lower bound, so 2 r equals the diameter only on a ball."""
+    r, _ = domain.inscribed_radius()
+    if 2.0 * r != domain.diameter():
+        return None
+    return r**p.alpha * ball_exit_constant(p)
 
 
 def cmd_exit_time(cfg: dict) -> int:
@@ -340,7 +337,6 @@ def cmd_suite(cfg: dict) -> int:
         alphas=alphas,
         h1d=cfg["h1d"],
         h2d=cfg["h2d"],
-        k=cfg["k"],
         workers=cfg["workers"],
         prop_slack_per_h=cfg["prop_slack"],
     )
@@ -407,7 +403,7 @@ def cmd_mc(cfg: dict) -> int:
         grid_h = 0.005
     grid_lambda1 = grid_exit = None
     if grid_h is not None:
-        grid, op, sol = bounds.solve_domain(domain, alpha, grid_h, k=2)
+        grid, op, sol = bounds.solve_domain(domain, alpha, grid_h)
         grid_lambda1 = float(sol.lambdas[0])
         node = int(np.argmin(np.sum((op.centers - x0) ** 2, axis=1)))
         grid_exit = float(exit_time(op).values[node])

@@ -3,6 +3,7 @@ import multiprocessing
 
 import pytest
 
+from fracgap import bounds
 from fracgap.constants import StableParams, ground_state_sup_constant
 from fracgap.bounds import (
     build_report,
@@ -18,7 +19,7 @@ from fracgap.bounds import (
     GridTooCoarseError,
 )
 from fracgap.geometry import Ball, Box, interval
-from fracgap.spectra import ground_state_ratio, variational_energy
+from fracgap.spectra import LANCZOS_MIN_NODES, ground_state_ratio, variational_energy
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_rayleigh_exit_profile_converges_to_bound():
     p = StableParams(1.0, 1)
     errs = []
     for h in (0.02, 0.01, 0.005):
-        _, op, _ = solve_domain(domain, 1.0, h, k=2)
+        _, op, _ = solve_domain(domain, 1.0, h)
         q, rhs = rayleigh_exit_profile_check(op, domain, p)
         errs.append(abs(q - rhs))
     assert errs[0] > errs[1] > errs[2]
@@ -189,8 +190,8 @@ def test_suite_coarse_all_verdicts():
 
 
 def test_suite_parallel_matches_serial():
-    serial = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2)
-    parallel = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2, workers=2)
+    serial = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2)
+    parallel = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, workers=2)
     assert multiprocessing.active_children() == []
     for a, b in zip(serial, parallel):
         assert a.label == b.label
@@ -200,7 +201,7 @@ def test_suite_parallel_matches_serial():
 
 
 def test_suite_passed_requires_all_verdicts():
-    reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, k=2)
+    reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2)
     assert suite_passed(reports)
     assert suite_passed(reports, "stated")
     reports[0].verdicts["thm2_derived"] = False
@@ -208,6 +209,26 @@ def test_suite_passed_requires_all_verdicts():
     assert suite_passed(reports, "stated")
     reports[0].verdicts["thm2_stated"] = False
     assert not suite_passed(reports, "stated")
+
+
+def test_suite_solves_two_eigenpairs_and_reports_what_six_give(monkeypatch):
+    # the suite's Lanczos solves (2D at h2d = 0.05) at two alphas, each against a k = 6 solve
+    eigenpairs, ks = bounds.eigenpairs, []
+    monkeypatch.setattr(bounds, "eigenpairs", lambda op, k: ks.append(k) or eigenpairs(op, k))
+    reports = run_suite(alphas=(0.5, 1.5), h1d=0.05, h2d=0.05)
+    assert ks == [2] * 12
+    monkeypatch.undo()
+    reports = [r for r in reports if r.d == 2]
+    assert [r.label for r in reports] == ["square", "square", "disk", "disk", "lshape", "lshape"]
+    domains = {label: (domain, h) for label, domain, h in suite_domains(h2d=0.05)}
+    for r in reports:
+        domain, h = domains[r.label]
+        _, op, sol = solve_domain(domain, r.alpha, h, k=6)
+        assert op.n >= LANCZOS_MIN_NODES
+        six = build_report(sol, domain, StableParams(r.alpha, 2), r.label)
+        for key in ("lambda1", "lambda2", "gap", "sup_phi1"):
+            assert getattr(r, key) == pytest.approx(getattr(six, key), rel=1e-10), (r.label, r.alpha, key)
+        assert r.verdicts == six.verdicts
 
 
 def test_suite_domains_declared():

@@ -14,7 +14,7 @@ import pytest
 
 from fracgap.cli import main, parse_domain
 from fracgap.geometry import Ball, BallUnion, Box, IntervalUnion, save_mask
-from fracgap import geometry
+from fracgap import bounds, geometry
 from fracgap.operator import assemble, exit_time
 
 
@@ -212,7 +212,12 @@ def test_exit_time_command(tmp_path, capsys, schema):
 
 @pytest.mark.parametrize(
     "centred, shifted",
-    [("ball:0,0,1", "ball:3,0,1"), ("ball:0,0,1", "ball:0.5,0,1"), ("ball:0,1", "ball:3,1")],
+    [
+        ("ball:0,0,1", "ball:3,0,1"),
+        ("ball:0,0,1", "ball:0.5,0,1"),
+        ("ball:0,1", "ball:3,1"),
+        ("ball:0,0,1", "balls:0,0,1"),
+    ],
 )
 def test_exit_time_exact_value_on_shifted_balls(tmp_path, capsys, centred, shifted):
     reports = []
@@ -232,6 +237,18 @@ def test_exit_time_exact_value_on_1d_box(tmp_path, capsys):
         reports.append(json.loads(out))
     assert reports[1]["exact_center_value"] == pytest.approx(1.0, rel=1e-12)
     assert reports[1]["center_rel_err"] == reports[0]["center_rel_err"]
+
+
+@pytest.mark.parametrize("domain", ["intervals:-2,-1;1,2", "box:-1,-1,1,1", "lshape"])
+def test_exit_time_exact_value_only_on_balls(tmp_path, capsys, domain):
+    if domain == "lshape":
+        save_mask(bounds._lshape(0.05), tmp_path / "lshape.mask")
+        domain = f"mask:{tmp_path / 'lshape.mask'}"
+    code, out = run_cli(capsys, "exit-time", "--domain", domain, "--h", "0.05")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["exact_center_value"] is None
+    assert obj["center_rel_err"] is None
 
 
 def test_mc_command_deterministic(tmp_path, capsys, schema):
@@ -395,6 +412,14 @@ def test_exit_time_csv_is_the_csv_writer_rendering(tmp_path, capsys):
     assert (tmp_path / "exit_time.csv").read_bytes() == want.getvalue().encode()
 
 
+def test_suite_has_no_k_flag(capsys):
+    # the suite solves for the two eigenpairs it reports; only solve takes --k
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--k", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 6" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.0, "dim": 2}))
@@ -425,6 +450,7 @@ def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
         pytest.param(["solve"], {"domain": 5, "h": 0.1}, id="solve-config-domain-number"),
         pytest.param(["solve"], {"domain": "interval:-1,1", "h": 0.05, "k": None}, id="solve-config-k-null"),
         pytest.param(["exit-time"], {"domain": 5, "h": 0.1}, id="exit-time-config-domain-number"),
+        pytest.param(["suite"], {"k": 6}, id="suite-config-k"),
         pytest.param(["mc", "--domain", "interval:-1,1", "--delta", "nan"], None, id="mc-delta-nan"),
         pytest.param(
             ["solve", "--domain", "interval:-1,1", "--h", "0.05", "--prop-slack", "nan"], None, id="solve-prop-slack-nan"

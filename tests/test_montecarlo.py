@@ -338,7 +338,7 @@ def test_survival_matches_grid_semigroup():
     est = estimate_exit(
         cfg(delta=1e-3, paths=20000, seed=12), interval(-1.0, 1.0), 0.0, ts=np.array([1.0])
     )
-    _, op, _ = solve_domain(interval(-1.0, 1.0), 1.0, 0.01, k=2)
+    _, op, _ = solve_domain(interval(-1.0, 1.0), 1.0, 0.01)
     node = int(np.argmin(np.abs(op.centers[:, 0])))
     grid_surv = float(survival_profile(op, node, np.array([1.0]))[0])
     assert abs(est.survival[0] - grid_surv) <= 0.03
