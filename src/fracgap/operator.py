@@ -15,24 +15,29 @@ that makes the scheme exact on quadratics across the diagonal.
 w_ij is table[|index_i - index_j|], so W is the principal submatrix, over the
 inside cells, of a (block-)Toeplitz matrix on the lattice box. The operator
 stores only the table, kill and the diagonal; `apply` computes W x as the
-table's even extension convolved with x placed in the box, by a zero-padded
-real FFT of about twice the box size (O(N log N) for N box cells), and the
-diagonal's row sums are that convolution applied to ones. In 2D the
+table's even extension convolved with x placed in the bounding box of the
+inside cells, by a zero-padded real FFT of about twice that box's size
+(O(N log N) for N box cells), and the diagonal's row sums are that
+convolution applied to ones. No offset between inside cells reaches the
+lattice box's padding layers, so the transform leaves them out (on the disk
+at n = 4003 it shrinks from 160^2 to 144^2). In 2D the
 transforms are pruned: the forward pass transforms only the box's rows
 along the last axis before the full transform along the first, and the
 inverse pass keeps only the box's rows before the last-axis inverse, so no
 transform runs over rows that are all zero or never read. The results are
 bitwise those of the full rfftn/irfftn pair. `weights` and
 `matrix` gather the dense n x n arrays on demand, for dense `eigh` and the
-small-n oracles, and refuse more than MAX_DENSE_NODES cells.
+small-n oracles, and refuse more than MAX_DENSE_NODES cells;
+`weights_between` gathers any block of W.
 
 kill_i is the table summed over the outside cells of the lattice box, so a
 nearest neighbor outside feeds the self-cell coefficient into kill (the
 Dirichlet condition for the second difference), plus the mass beyond the
-box. The outside sum is an exact pair sum in 1D and the same FFT
-convolution applied to the outside indicator in 2D. The mass beyond the box
-is in closed form in 1D; in 2D a polar quadrature with the radial integral
-exact and Gauss-Legendre in the angle, split at the box corner directions.
+box. The outside sum is an exact pair sum in 1D and, in 2D, the same FFT
+convolution run over the whole lattice box and applied to the outside
+indicator. The mass beyond the box is in closed form in 1D; in 2D a polar
+quadrature with the radial integral exact and Gauss-Legendre in the angle,
+split at the box corner directions.
 It depends only on a cell's place in the lattice box, so it is evaluated
 once per class of cells related by the box's two reflections (and by the
 transpose when the box is square) and copied to the rest: about 8x fewer
@@ -51,7 +56,9 @@ U: extend by zero, apply, read back on U. No factorization is formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +112,54 @@ def cho_factor(a, *args, **kwargs):
     return factor(a, *args, **kwargs)
 
 
+class _BoxConvolution:
+    """Linear convolution over a box of lattice cells, read at given cells.
+
+    Offsets in a box of m cells run over (-m, m), so a circular convolution
+    of length >= 2m - 1 computes the linear one: the box array is zero-padded
+    to that FFT shape, multiplied by a spectrum in frequency and transformed
+    back. The same transforms as rfftn/irfftn over the padded shape, pruned in
+    2D: the forward rfft runs over the m_0 box rows only (the padded rows are
+    zero), and the inverse irfft over the m_0 rows that hold the box.
+    """
+
+    def __init__(self, shape: tuple[int, ...], cells: np.ndarray) -> None:
+        self.shape = shape
+        self.fft_shape = tuple(_smooth_len(2 * m - 1) for m in shape)
+        # flat positions of the cells in the box, and in the m_0 x L_1 (2D) or
+        # L_0 (1D) array that the pruned inverse transform returns
+        self._in_box = np.ravel_multi_index(cells.T, shape)
+        self._in_out = np.ravel_multi_index(cells.T, (*shape[:-1], self.fft_shape[-1]))
+
+    def symbol(self, table: np.ndarray) -> np.ndarray:
+        """Spectrum of the even extension of the table's offsets within the box."""
+        # FFT index k holds the rate at offset min(k, L - k); offsets >= m get
+        # the zero padded on
+        folded = [
+            np.minimum(np.minimum(np.arange(L), L - np.arange(L)), m) for m, L in zip(self.shape, self.fft_shape)
+        ]
+        within = table[tuple(slice(m) for m in self.shape)]
+        even = np.pad(within, [(0, 1)] * len(self.shape))[np.ix_(*folded)]
+        return np.fft.rfftn(even).real  # real: the extension is even
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Values at the cells placed in an otherwise zero box."""
+        box = np.zeros(math.prod(self.shape))
+        box[self._in_box] = x
+        return box.reshape(self.shape)
+
+    def __call__(self, box: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        last = self.fft_shape[-1]
+        spec = np.fft.rfft(box, n=last, axis=-1)
+        # d <= 2, so the axes before the last are axis 0 in 2D and none in 1D
+        for L in self.fft_shape[:-1]:
+            spec = np.fft.fft(spec, n=L, axis=0)
+        spec *= spectrum
+        for m in self.shape[:-1]:
+            spec = np.fft.ifft(spec, axis=0)[:m]
+        return np.fft.irfft(spec, n=last, axis=-1).ravel()[self._in_out]
+
+
 @dataclass
 class KilledOperator:
     """Jump rates between inside cells, as one offset table, plus per-cell killing rates.
@@ -127,36 +182,27 @@ class KilledOperator:
     diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # offsets in a box of m cells run over (-m, m): a circular convolution
-        # of length >= 2m - 1 computes the linear one
-        self._fft_shape = tuple(_smooth_len(2 * m - 1) for m in self.table.shape)
-        cells = self.index.T
-        # flat positions of the inside cells in the lattice box, and in the
-        # m_0 x L_1 (2D) or L_0 (1D) array that the pruned inverse transform returns
-        self._in_box = np.ravel_multi_index(cells, self.table.shape)
-        self._in_out = np.ravel_multi_index(cells, (*self.table.shape[:-1], self._fft_shape[-1]))
-        # FFT index k holds the rate at offset min(k, L - k); offsets >= m get
-        # the zero padded on
-        folded = [
-            np.minimum(np.minimum(np.arange(L), L - np.arange(L)), m)
-            for m, L in zip(self.table.shape, self._fft_shape)
-        ]
-        even = np.pad(self.table, [(0, 1)] * self.d)[np.ix_(*folded)]
-        self._symbol = np.fft.rfftn(even).real  # real: the extension is even
         outside = np.ones(self.table.size, dtype=bool)
-        outside[self._in_box] = False
+        outside[np.ravel_multi_index(self.index.T, self.table.shape)] = False
         outside = outside.reshape(self.table.shape)
         if self.d == 1:
             # exact pair sum: an FFT loses up to 1.4e-10 relative here at alpha = 1.7
             blocks = _gather_blocks(self.table, self.index, np.argwhere(outside))
             near = np.concatenate([w.sum(axis=1) for _, w in blocks])
         else:
-            # within 1e-11 relative of the pair sum at alpha = 1.7 up to n ~ 4000
-            # (tested); 3.2e-12 measured at n = 31428
-            near = self._convolve(outside, self._symbol)
+            # one convolution over the lattice box, whose padding layers carry
+            # the outside neighbours; within 1e-11 relative of the pair sum at
+            # alpha = 1.7 up to n ~ 4000 (tested), 3.2e-12 measured at n = 31428
+            lattice = _BoxConvolution(self.table.shape, self.index)
+            near = lattice(outside, lattice.symbol(self.table))
         self.kill = near + self.beyond
         if not np.isfinite(self.kill).all() or (self.kill <= 0.0).any():
             raise AssemblyError("killing rates must be positive and finite")
+        # apply and precondition convolve over the bounding box of the inside
+        # cells, the only offsets W x reads
+        lo = self.index.min(axis=0)
+        self._conv = _BoxConvolution(tuple(self.index.max(axis=0) - lo + 1), self.index - lo)
+        self._symbol = self._conv.symbol(self.table)
         self.diag = self._jumps(np.ones(self.n)) + self.kill
         # inverse eigenvalues of the circulant mean(diag) - W on the padded box;
         # the clamp at min(kill) keeps it positive definite
@@ -176,36 +222,17 @@ class KilledOperator:
             )
         return _gather(self.table, self.index, self.index)
 
+    def weights_between(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The block W[rows][:, cols] over node indices, gathered from the table."""
+        return _gather(self.table, self.index[rows], self.index[cols])
+
     def weight_blocks(self):
         """Yield (rows, W[rows]) over row slices of about GATHER_BLOCK entries; any n."""
         return _gather_blocks(self.table, self.index, self.index)
 
-    def _convolve(self, box: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """A lattice-box array, zero-padded to the FFT shape and multiplied by
-        spectrum in frequency, read at the inside cells.
-
-        The same transforms as rfftn/irfftn over the padded shape, pruned in
-        2D: the forward rfft runs over the m_0 box rows only (the padded rows
-        are zero), and the inverse irfft over the m_0 rows that hold the box.
-        """
-        last = self._fft_shape[-1]
-        spec = np.fft.rfft(box, n=last, axis=-1)
-        # d <= 2, so the axes before the last are axis 0 in 2D and none in 1D
-        for L in self._fft_shape[:-1]:
-            spec = np.fft.fft(spec, n=L, axis=0)
-        spec *= spectrum
-        for m in self.table.shape[:-1]:
-            spec = np.fft.ifft(spec, axis=0)[:m]
-        return np.fft.irfft(spec, n=last, axis=-1).ravel()[self._in_out]
-
-    def _scatter(self, x: np.ndarray) -> np.ndarray:
-        box = np.zeros(self.table.size)
-        box[self._in_box] = x
-        return box.reshape(self.table.shape)
-
     def _jumps(self, x: np.ndarray) -> np.ndarray:
-        """W x: x placed in the lattice box, convolved with the table's even extension."""
-        return self._convolve(self._scatter(x), self._symbol)
+        """W x: x placed in the inside cells' box, convolved with the table's even extension."""
+        return self._conv(self._conv.scatter(x), self._symbol)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x without forming H."""
@@ -214,7 +241,7 @@ class KilledOperator:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r for the circulant M = mean(diag) - (W's circulant extension) on
         the padded box, restricted to the inside cells: one FFT pair, SPD."""
-        return self._convolve(self._scatter(r), self._inv_circulant)
+        return self._conv(self._conv.scatter(r), self._inv_circulant)
 
     def matrix(self) -> np.ndarray:
         """Dense H = diag - W; symmetric positive definite."""
@@ -270,6 +297,16 @@ def _tail_2d(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float) -> n
     )
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count (~0.9 ms
+    each) and read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(points)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _tail_2d_block(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float) -> np.ndarray:
     """_tail_2d on one block of points."""
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
@@ -277,7 +314,7 @@ def _tail_2d_block(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float
     ang = np.sort(np.arctan2(rel[:, :, 1], rel[:, :, 0]), axis=1)
     a = ang
     b = np.concatenate([ang[:, 1:], ang[:, :1] + 2.0 * np.pi], axis=1)
-    t, w = np.polynomial.legendre.leggauss(TAIL_ANGULAR_POINTS)
+    t, w = _gauss_legendre(TAIL_ANGULAR_POINTS)
     theta = a[:, :, None] + (t + 1.0) / 2.0 * (b - a)[:, :, None]
     cos = np.cos(theta)
     sin = np.sin(theta)

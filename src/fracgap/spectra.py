@@ -1,14 +1,16 @@
 """Eigenpairs of the discrete killed generator and the machinery built on them.
 
 Covers: the low spectrum with a fixed deterministic sign convention (dense
-LAPACK `eigh` on small grids; above a measured size crossover ARPACK on the
-matrix-free operator, plain Lanczos on its FFT apply in 2D and shift-invert
-with circulant-PCG solves in 1D), the spectral gap, the weighted nonlocal
-Dirichlet form that the ground-state transform turns the gap into (exact in
-finite dimensions, summed over blocks of rows), the antisymmetrized
-double-sum normalization check (in O(n)), the half-maximum level set of the
-ground state with its exit-time sandwich, and the discrete survival
-function of the killed semigroup (dense, capped like the other oracles).
+LAPACK `eigh` on small grids, on the two half-size blocks that a lattice
+mirror splits H into when there is one; above a measured size crossover
+ARPACK on the matrix-free operator, plain Lanczos on its FFT apply in 2D and
+shift-invert with circulant-PCG solves in 1D), the spectral gap, the
+weighted nonlocal Dirichlet form that the ground-state transform turns the
+gap into (exact in finite dimensions, summed over blocks of rows), the
+antisymmetrized double-sum normalization check (in O(n)), the half-maximum
+level set of the ground state with its exit-time sandwich, and the discrete
+survival function of the killed semigroup (dense, capped like the other
+oracles).
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ __all__ = [
 # 0.11/0.07-0.10, n = 4000 3.7-4.6/0.24-0.31. Plain Lanczos loses in 1D (the
 # spectrum spreads as n^alpha, not n^(alpha/2)); shift-invert loses in 2D
 # (4.4-5.2x slower than plain Lanczos at n = 4003, alpha 0.5-1.7; 4.4x and
-# 2.5x at n = 31428, alpha 1 and 1.7).
+# 2.5x at n = 31428, alpha 1 and 1.7). The crossover was measured with eigh
+# at full size; on a mirror lattice the two half-size blocks take 6.5 ms
+# against 10.1 ms at n = 400 and 24 ms against 43 ms at n = 800 (1D, k = 2).
 LANCZOS_MIN_NODES = 1000
 # ARPACK restarts; the disk needs 13 at n = 4003 (alpha 1) and 44 at n = 7860 (alpha 1.7)
 LANCZOS_MAX_RESTARTS = 1000
 EIG_RESIDUAL_TOL = 1e-8  # bound on max_j ||H phi_j - lambda_j phi_j|| / lambda_j
+# eigenvalues of the two mirror blocks this close (relative) form one cluster
+MIRROR_CLUSTER_RTOL = 1e-10
 
 
 @dataclass
@@ -55,7 +61,10 @@ class EigenSolution:
 
     Normalization is sum_i phi^2 h^d = 1. Signs are fixed (first nonzero
     coordinate positive) and phi_1 is strictly positive, so repeated runs
-    are bit-identical.
+    are bit-identical. On the dense path of a mirror lattice, eigenvalues of
+    the odd and even blocks within MIRROR_CLUSTER_RTOL of each other form a
+    cluster that lists the odd ones first, which may put a larger value
+    first by up to that much.
     """
 
     lambdas: np.ndarray
@@ -85,16 +94,100 @@ class LevelSetReport:
     volume_ratio: float  # measure / volume_lower_rhs; near 1 on near-ball level sets
 
 
-def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of the dense matrix by LAPACK."""
+def _mirror(op: KilledOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Mirror pairs (p, q) and fixed cells f of a lattice reflection
+    i_a -> min_a + max_a - i_a along one axis that maps the inside cells onto
+    themselves; None if no axis has one that pairs some cells and keeps diag
+    symmetric to within a hundredth of EIG_RESIDUAL_TOL * min(kill).
+
+    W is exactly invariant under the reflection, as w_ij depends only on
+    |index_i - index_j|. The blocks take diag averaged over each pair; since
+    lambda >= min(kill), that moves no relative eigen-residual by more than
+    half the tolerance over min(kill), 1/200 of the bound that eigenpairs
+    checks.
+    """
+    keys = np.ravel_multi_index(op.index.T, op.table.shape)
+    order = np.argsort(keys)
+    cells = np.arange(op.n)
+    for axis in range(op.d):
+        image = op.index.copy()
+        image[:, axis] = image[:, axis].min() + image[:, axis].max() - image[:, axis]
+        image_keys = np.ravel_multi_index(image.T, op.table.shape)
+        mirror = order[np.minimum(np.searchsorted(keys, image_keys, sorter=order), op.n - 1)]
+        if not np.array_equal(keys[mirror], image_keys):
+            continue
+        if np.abs(op.diag - op.diag[mirror]).max() > 1e-2 * EIG_RESIDUAL_TOL * op.kill.min():
+            continue
+        p = cells[cells < mirror]
+        if len(p):
+            return p, mirror[p], cells[cells == mirror]
+    return None
+
+
+def _lapack_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The min(k, len(a)) smallest eigenpairs of a symmetric matrix by LAPACK."""
     # imported here, as in survival_profile: scipy.linalg takes ~0.4 s to import,
     # and commands that solve no eigenproblem (exit-time, constants) never load it
     from scipy.linalg import LinAlgError, eigh
 
     try:
-        return eigh(op.matrix(), subset_by_index=(0, k - 1))
+        return eigh(a, subset_by_index=(0, min(k, len(a)) - 1))
     except LinAlgError as exc:
         raise SolveError("eigensolver failed to converge; reduce the grid size") from exc
+
+
+def _mirror_eigh(
+    op: KilledOperator, k: int, p: np.ndarray, q: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs from the odd and even blocks of H under the mirror (p, q, f).
+
+    H leaves invariant the odd vectors (v, -v, 0) and the even vectors
+    (v, v, w) over (p, q, f), so it splits into two half-size blocks,
+        odd: H_pp - H_pq,  even: [[H_pp + H_pq, sqrt2 H_pf], [sqrt2 H_fp, H_ff]],
+    gathered straight from the offset table. Eigenvalues of the two blocks
+    within MIRROR_CLUSTER_RTOL of each other form one cluster, ordered odd
+    block first, so a degenerate pair split across the blocks comes out in
+    the same order at any BLAS thread count.
+    """
+    m = len(p)
+    w_pq = op.weights_between(p, q)
+    h_pp = -op.weights_between(p, p)
+    np.fill_diagonal(h_pp, (op.diag[p] + op.diag[q]) / 2.0)
+    odd = h_pp + w_pq
+    even = np.empty((m + len(f), m + len(f)))
+    np.subtract(h_pp, w_pq, out=even[:m, :m])
+    del h_pp, w_pq
+    even[:m, m:] = -np.sqrt(2.0) * op.weights_between(p, f)
+    even[m:, :m] = even[:m, m:].T
+    even[m:, m:] = -op.weights_between(f, f)
+    np.fill_diagonal(even[m:, m:], op.diag[f])
+    (odd_vals, odd_vecs), (even_vals, even_vecs) = _lapack_eigh(odd, k), _lapack_eigh(even, k)
+    del odd, even
+    vals = np.concatenate([odd_vals, even_vals])
+    from_odd = np.arange(len(vals)) < len(odd_vals)
+    by_value = np.argsort(vals, kind="stable")
+    ranked = vals[by_value]
+    cluster = np.concatenate([[0], np.cumsum(np.diff(ranked) > MIRROR_CLUSTER_RTOL * ranked[1:])])
+    chosen = by_value[np.lexsort((ranked, ~from_odd[by_value], cluster))][:k]
+    vecs = np.zeros((op.n, len(chosen)))
+    for j, c in enumerate(chosen):
+        if from_odd[c]:
+            vecs[p, j] = odd_vecs[:, c] / np.sqrt(2.0)
+            vecs[q, j] = -vecs[p, j]
+        else:
+            u = even_vecs[:, c - len(odd_vals)]
+            vecs[p, j] = vecs[q, j] = u[:m] / np.sqrt(2.0)
+            vecs[f, j] = u[m:]
+    return vals[chosen], vecs
+
+
+def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs by LAPACK: of the two mirror blocks of H when the
+    lattice has a mirror, else of the dense matrix."""
+    mirror = _mirror(op)
+    if mirror is not None:
+        return _mirror_eigh(op, k, *mirror)
+    return _lapack_eigh(op.matrix(), k)
 
 
 def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +226,8 @@ def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
     """k smallest eigenvalues of H with deterministically signed eigenvectors.
 
     Dense eigh below LANCZOS_MIN_NODES inside cells (or when k is within 1
-    of n); from there on ARPACK on the matrix-free operator, plain Lanczos in
+    of n), on the two mirror blocks of H when the lattice has a mirror; from
+    there on ARPACK on the matrix-free operator, plain Lanczos in
     2D and shift-invert in 1D, while its n x (2k + 1) basis fits in
     MAX_DENSE_NODES^2 doubles, the dense matrix's footprint; past that, dense
     eigh up to MAX_DENSE_NODES cells and ValueError above. Every pair must

@@ -240,13 +240,14 @@ def test_fft_kill_matches_pair_sum_2d(alpha):
 
 
 def _full_fft_convolve(op, x, spectrum):
-    """x placed in the lattice box, convolved by full rfftn/irfftn over the padded shape."""
-    cells = tuple(op.index.T)
-    box = np.zeros(op.table.shape)
+    """x placed in the bounding box of the inside cells, convolved by full
+    rfftn/irfftn over the padded shape."""
+    cells = tuple((op.index - op.index.min(axis=0)).T)
+    box = np.zeros(op._conv.shape)
     box[cells] = x
     axes = tuple(range(op.d))
-    spec = np.fft.rfftn(box, s=op._fft_shape, axes=axes) * spectrum
-    return np.fft.irfftn(spec, s=op._fft_shape, axes=axes)[cells]
+    spec = np.fft.rfftn(box, s=op._conv.fft_shape, axes=axes) * spectrum
+    return np.fft.irfftn(spec, s=op._conv.fft_shape, axes=axes)[cells]
 
 
 @pytest.mark.parametrize(

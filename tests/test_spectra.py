@@ -347,3 +347,113 @@ def test_k_beyond_the_lanczos_basis_cap(monkeypatch):
     monkeypatch.setattr(spectra, "MAX_DENSE_NODES", 999)  # below n: no dense fallback either
     with pytest.raises(ValueError, match="k = 605 at n = 1000"):
         eigenpairs(op, 605)
+
+
+# ---------------------------------------------------------------------------
+# dense eigh on the two mirror halves of a symmetric lattice
+
+MIRROR_CASES = [
+    pytest.param(interval(-1.0, 1.0), 0.005, id="interval-even-n"),
+    pytest.param(interval(-1.0, 1.0), 2.0 / 401, id="interval-odd-n"),
+    pytest.param(interval(-2.0, 2.0), 0.005, id="interval2"),
+    pytest.param(IntervalUnion(((-4.5, -3.5), (3.5, 4.5))), 0.005, id="two_intervals"),
+    pytest.param(Box((-1.0, -1.0), (1.0, 1.0)), 0.1, id="square"),
+    pytest.param(Ball((0.0, 0.0), 1.0), 0.1, id="disk"),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("dom, h", MIRROR_CASES)
+def test_mirror_halves_match_full_eigh(dom, h, alpha):
+    k = 6
+    op = assemble(rasterize(dom, h), alpha)
+    assert op.n < spectra.LANCZOS_MIN_NODES
+    assert spectra._mirror(op) is not None
+    vals, vecs = spectra._dense_eigh(op, k)
+    want, want_vecs = eigh(op.matrix(), subset_by_index=(0, k))
+    assert (np.abs(vals - want[:k]) <= 1e-11 * want[:k]).all()
+    assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0.0, atol=1e-12)
+    for j in range(k):
+        sep = min(want[j] - want[j - 1] if j else math.inf, want[j + 1] - want[j])
+        if sep > 1e-6 * want[j]:  # simple: the eigenvector is defined up to sign
+            assert abs(float(vecs[:, j] @ want_vecs[:, j])) == pytest.approx(1.0, abs=1e-8), j
+
+
+def test_mirror_pairs_reflect_the_lattice():
+    op = assemble(rasterize(interval(-1.0, 1.0), 2.0 / 401), 1.0)  # odd n: one fixed cell
+    p, q, f = spectra._mirror(op)
+    cells = op.index[:, 0]
+    assert np.array_equal(cells[p] + cells[q], np.full(len(p), cells.min() + cells.max()))
+    assert len(f) == 1 and 2 * cells[f[0]] == cells.min() + cells.max()
+    assert np.array_equal(np.sort(np.concatenate([p, q, f])), np.arange(op.n))
+
+
+@pytest.mark.parametrize(
+    "dom, h",
+    [
+        (IntervalUnion(((-3.0, -2.0), (2.0, 2.5))), 0.005),  # two intervals of unequal length
+        (Ball((0.0, 0.0), 1.0), 0.07),  # 2 / h is not an integer: the lattice is off centre
+        (suite_domains(h2d=0.1)[5][1], 0.1),  # the L-shape
+    ],
+    ids=["unequal-intervals", "disk-h0.07", "lshape"],
+)
+def test_lattices_without_a_mirror_take_the_full_eigh(dom, h):
+    op = assemble(rasterize(dom, h), 1.0)
+    assert spectra._mirror(op) is None
+    vals, vecs = spectra._dense_eigh(op, 3)
+    want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 2))
+    assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
+
+
+def test_diag_off_its_mirror_takes_the_full_eigh():
+    op = assemble(rasterize(interval(-1.0, 1.0), 0.005), 1.0)
+    bound = 1e-2 * spectra.EIG_RESIDUAL_TOL * op.kill.min()
+    op.diag[3] += 0.5 * bound  # within the bound: the halves use the pair's mean
+    assert spectra._mirror(op) is not None
+    vals, _ = spectra._dense_eigh(op, 2)
+    want = eigh(op.matrix(), subset_by_index=(0, 1), eigvals_only=True)
+    assert (np.abs(vals - want) <= 1e-11 * want).all()
+    op.diag[3] += bound  # past it
+    assert spectra._mirror(op) is None
+    vals, vecs = spectra._dense_eigh(op, 2)
+    want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 1))
+    assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
+
+
+@pytest.mark.parametrize("h", [0.2, 2.0 / 11], ids=["n10", "n11"])
+def test_k_up_to_n_beyond_a_half(h):
+    op = assemble(rasterize(interval(-1.0, 1.0), h), 1.0)
+    p, _, _ = spectra._mirror(op)
+    assert len(p) < op.n - 1  # k = n - 1 and n exceed both halves
+    want = eigh(op.matrix(), eigvals_only=True)
+    for k in (op.n - 1, op.n):
+        vals, vecs = spectra._dense_eigh(op, k)
+        assert (np.abs(vals - want[:k]) <= 1e-12 * want[:k]).all()
+        assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0.0, atol=1e-12)
+    sol = eigenpairs(op, op.n)
+    assert (np.abs(sol.lambdas - want) <= 1e-12 * want).all()
+
+
+@pytest.mark.parametrize("tilt", [1.0, -1.0], ids=["even-lower", "odd-lower"])
+def test_degenerate_pair_across_the_halves_puts_the_odd_one_first(tilt):
+    # on the square lambda_2 = lambda_3, with one eigenvector odd under the axis-0
+    # mirror and the other even. A diag term odd under the transpose splits the
+    # pair by ~1e-12 relative, either way round: phi_2 is the odd one both times
+    op = assemble(rasterize(Box((-1.0, -1.0), (1.0, 1.0)), 0.1), 1.0)
+    x, y = op.centers.T
+    op.diag += tilt * 1e-11 * op.diag.min() * (x**2 - y**2)
+    p, q, _ = spectra._mirror(op)
+    sol = eigenpairs(op, 3)
+    lam2, lam3 = sol.lambdas[1:]
+    assert 1e-13 * lam2 < tilt * (lam2 - lam3) < spectra.MIRROR_CLUSTER_RTOL * lam2
+    assert np.array_equal(sol.phis[q, 1], -sol.phis[p, 1])
+    assert np.array_equal(sol.phis[q, 2], sol.phis[p, 2])
+
+
+def test_interval_eigenvalues_against_published_values():
+    # (-1, 1) at alpha = 1: lambda_1 from Kulczycki, Kwasnicki, Malecki & Stos,
+    # Proc. LMS 2010, lambda_2 from Kwasnicki, J. Funct. Anal. 2012; the grid
+    # errs by 5.3e-5 and 1.8e-4 at h = 1e-4 (n = 20000, shift-invert)
+    _, sol = solve_interval(-1.0, 1.0, 1e-4, k=2)
+    assert abs(sol.lambdas[0] - 1.1577738836977) < 1e-4
+    assert abs(sol.lambdas[1] - 2.7547541922) < 2.5e-4
