@@ -250,6 +250,8 @@ class RasterMask:
         if len(origin) != m.ndim:
             raise ValueError("origin dimension does not match mask")
         object.__setattr__(self, "origin", tuple(float(c) for c in origin))
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"mask origin must be finite, got {self.origin}")
 
     @property
     def d(self) -> int:
@@ -436,8 +438,12 @@ def mask_from_predicate(
     predicate: Callable[[np.ndarray], np.ndarray],
 ) -> RasterMask:
     """Build a raster-mask domain by sampling a membership predicate at cell centers."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"mask spacing h must be positive and finite, got {h}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"mask corners lo = {tuple(lo)} and hi = {tuple(hi)} must be finite")
     dims = tuple(int(n) for n in np.ceil((hi - lo) / h - 1e-9))
     mask = np.asarray(predicate(_lattice_centers(lo, dims, h)), dtype=bool).reshape(dims)
     return RasterMask(mask, h, tuple(lo))

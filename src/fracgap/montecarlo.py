@@ -83,8 +83,8 @@ class StableSamplerConfig:
             raise ValueError("alpha must lie in (0, 2)")
         if self.d not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
-        if self.delta <= 0.0:
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"time step delta must be positive and finite, got {self.delta}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.paths < 1000:

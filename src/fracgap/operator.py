@@ -25,10 +25,10 @@ transforms are pruned: the forward pass transforms only the box's rows
 along the last axis before the full transform along the first, and the
 inverse pass keeps only the box's rows before the last-axis inverse, so no
 transform runs over rows that are all zero or never read. The results are
-bitwise those of the full rfftn/irfftn pair. `weights` and
-`matrix` gather the dense n x n arrays on demand, for dense `eigh` and the
-small-n oracles, and refuse more than MAX_DENSE_NODES cells;
-`weights_between` gathers any block of W.
+bitwise those of the full rfftn/irfftn pair. `weights_between` gathers any
+block of W, which is how the dense eigensolve builds its blocks; `matrix`
+gathers the dense n x n H, the oracle that tests check the matrix-free paths
+against, and refuses more than MAX_DENSE_NODES cells.
 
 kill_i is the table summed over the outside cells of the lattice box, so a
 nearest neighbor outside feeds the self-cell coefficient into kill (the
@@ -78,7 +78,7 @@ __all__ = [
     "dynkin_decomposition",
 ]
 
-MAX_DENSE_NODES = 5000  # cap of the dense n x n arrays (weights, matrix); ~70x70 cells in 2D
+MAX_DENSE_NODES = 5000  # cap of the dense n x n arrays (dense eigh, matrix); ~70x70 cells in 2D
 NEAR_RANGE = 2  # Chebyshev index distance treated with subdivided quadrature
 SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
@@ -212,16 +212,6 @@ class KilledOperator:
     def n(self) -> int:
         return len(self.index)
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Dense W, gathered from the table on every access (n x n)."""
-        if self.n > MAX_DENSE_NODES:
-            raise ValueError(
-                f"operator has {self.n} inside cells; the dense matrix is capped at "
-                f"MAX_DENSE_NODES = {MAX_DENSE_NODES}, choose a coarser h"
-            )
-        return _gather(self.table, self.index, self.index)
-
     def weights_between(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The block W[rows][:, cols] over node indices, gathered from the table."""
         return _gather(self.table, self.index[rows], self.index[cols])
@@ -244,8 +234,13 @@ class KilledOperator:
         return self._conv(self._conv.scatter(r), self._inv_circulant)
 
     def matrix(self) -> np.ndarray:
-        """Dense H = diag - W; symmetric positive definite."""
-        H = -self.weights
+        """Dense H = diag - W, gathered from the table (n x n); symmetric positive definite."""
+        if self.n > MAX_DENSE_NODES:
+            raise ValueError(
+                f"operator has {self.n} inside cells; the dense matrix is capped at "
+                f"MAX_DENSE_NODES = {MAX_DENSE_NODES}, choose a coarser h"
+            )
+        H = -_gather(self.table, self.index, self.index)
         np.fill_diagonal(H, self.diag)
         return H
 

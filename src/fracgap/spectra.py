@@ -1,16 +1,16 @@
 """Eigenpairs of the discrete killed generator and the machinery built on them.
 
 Covers: the low spectrum with a fixed deterministic sign convention (dense
-LAPACK `eigh` on small grids, on the two half-size blocks that a lattice
-mirror splits H into when there is one; above a measured size crossover
-ARPACK on the matrix-free operator, plain Lanczos on its FFT apply in 2D and
-shift-invert with circulant-PCG solves in 1D), the spectral gap, the
+LAPACK `eigh` on small grids, on the odd and even blocks of H under a lattice
+mirror, the even block being all of H without one; above a measured size
+crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT apply
+in 2D and shift-invert with circulant-PCG solves in 1D), the spectral gap, the
 weighted nonlocal Dirichlet form that the ground-state transform turns the
 gap into (exact in finite dimensions, summed over blocks of rows), the
 antisymmetrized double-sum normalization check (in O(n)), the half-maximum
 level set of the ground state with its exit-time sandwich, and the discrete
-survival function of the killed semigroup (dense, capped like the other
-oracles).
+survival function of the killed semigroup (from the same dense eigensolve,
+at every n up to MAX_DENSE_NODES).
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ __all__ = [
 # spectrum spreads as n^alpha, not n^(alpha/2)); shift-invert loses in 2D
 # (4.4-5.2x slower than plain Lanczos at n = 4003, alpha 0.5-1.7; 4.4x and
 # 2.5x at n = 31428, alpha 1 and 1.7). The crossover was measured with eigh
-# at full size; on a mirror lattice the two half-size blocks take 6.5 ms
-# against 10.1 ms at n = 400 and 24 ms against 43 ms at n = 800 (1D, k = 2).
+# on all of H, as on a lattice without a mirror; the two half-size blocks of a
+# mirror take 6.5 ms against 10.1 ms at n = 400 and 24 ms against 43 ms at
+# n = 800 (1D, k = 2).
 LANCZOS_MIN_NODES = 1000
 # ARPACK restarts; the disk needs 13 at n = 4003 (alpha 1) and 44 at n = 7860 (alpha 1.7)
 LANCZOS_MAX_RESTARTS = 1000
@@ -61,10 +62,10 @@ class EigenSolution:
 
     Normalization is sum_i phi^2 h^d = 1. Signs are fixed (first nonzero
     coordinate positive) and phi_1 is strictly positive, so repeated runs
-    are bit-identical. On the dense path of a mirror lattice, eigenvalues of
-    the odd and even blocks within MIRROR_CLUSTER_RTOL of each other form a
-    cluster that lists the odd ones first, which may put a larger value
-    first by up to that much.
+    are bit-identical. On the dense path, eigenvalues of the odd and even
+    mirror blocks within MIRROR_CLUSTER_RTOL of each other form a cluster
+    that lists the odd ones first, which may put a larger value first by up
+    to that much; a lattice without a mirror has no odd block.
     """
 
     lambdas: np.ndarray
@@ -94,11 +95,12 @@ class LevelSetReport:
     volume_ratio: float  # measure / volume_lower_rhs; near 1 on near-ball level sets
 
 
-def _mirror(op: KilledOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _mirror(op: KilledOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mirror pairs (p, q) and fixed cells f of a lattice reflection
     i_a -> min_a + max_a - i_a along one axis that maps the inside cells onto
-    themselves; None if no axis has one that pairs some cells and keeps diag
-    symmetric to within a hundredth of EIG_RESIDUAL_TOL * min(kill).
+    themselves; the trivial split (no pairs, every cell fixed) if no axis has
+    one that pairs some cells and keeps diag symmetric to within a hundredth
+    of EIG_RESIDUAL_TOL * min(kill).
 
     W is exactly invariant under the reflection, as w_ij depends only on
     |index_i - index_j|. The blocks take diag averaged over each pair; since
@@ -121,13 +123,13 @@ def _mirror(op: KilledOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
         p = cells[cells < mirror]
         if len(p):
             return p, mirror[p], cells[cells == mirror]
-    return None
+    return cells[:0], cells[:0], cells
 
 
 def _lapack_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The min(k, len(a)) smallest eigenpairs of a symmetric matrix by LAPACK."""
-    # imported here, as in survival_profile: scipy.linalg takes ~0.4 s to import,
-    # and commands that solve no eigenproblem (exit-time, constants) never load it
+    # imported here: scipy.linalg takes ~0.4 s to import, and commands that
+    # solve no eigenproblem (exit-time, constants) never load it
     from scipy.linalg import LinAlgError, eigh
 
     try:
@@ -136,20 +138,30 @@ def _lapack_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise SolveError("eigensolver failed to converge; reduce the grid size") from exc
 
 
-def _mirror_eigh(
-    op: KilledOperator, k: int, p: np.ndarray, q: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs from the odd and even blocks of H under the mirror (p, q, f).
+def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs by LAPACK on the odd and even blocks of H under
+    the lattice mirror (p, q, f) of _mirror; refused above MAX_DENSE_NODES cells.
 
     H leaves invariant the odd vectors (v, -v, 0) and the even vectors
-    (v, v, w) over (p, q, f), so it splits into two half-size blocks,
+    (v, v, w) over (p, q, f), so it splits into two blocks,
         odd: H_pp - H_pq,  even: [[H_pp + H_pq, sqrt2 H_pf], [sqrt2 H_fp, H_ff]],
-    gathered straight from the offset table. Eigenvalues of the two blocks
-    within MIRROR_CLUSTER_RTOL of each other form one cluster, ordered odd
-    block first, so a degenerate pair split across the blocks comes out in
-    the same order at any BLAS thread count.
+    gathered straight from the offset table. Without a mirror p is empty:
+    there is no odd block and the even one is H itself, so the result is
+    bitwise eigh of the dense matrix. Eigenvalues of the two blocks within
+    MIRROR_CLUSTER_RTOL of each other form one cluster, ordered odd block
+    first, so a degenerate pair split across the blocks comes out in the same
+    order at any BLAS thread count.
     """
+    if op.n > MAX_DENSE_NODES:
+        raise ValueError(
+            f"k = {k} at n = {op.n}: dense eigh is capped at MAX_DENSE_NODES = {MAX_DENSE_NODES} cells and "
+            "ARPACK's n x (2k + 1) basis at MAX_DENSE_NODES^2 doubles; choose a smaller k or a coarser h"
+        )
+    p, q, f = _mirror(op)
     m = len(p)
+    # gathered before `even` exists: without a mirror W_ff is all of W, and
+    # the gather's index temporaries then peak no higher than matrix()'s
+    w_ff = op.weights_between(f, f)
     w_pq = op.weights_between(p, q)
     h_pp = -op.weights_between(p, p)
     np.fill_diagonal(h_pp, (op.diag[p] + op.diag[q]) / 2.0)
@@ -159,9 +171,11 @@ def _mirror_eigh(
     del h_pp, w_pq
     even[:m, m:] = -np.sqrt(2.0) * op.weights_between(p, f)
     even[m:, :m] = even[:m, m:].T
-    even[m:, m:] = -op.weights_between(f, f)
+    np.negative(w_ff, out=even[m:, m:])
+    del w_ff
     np.fill_diagonal(even[m:, m:], op.diag[f])
-    (odd_vals, odd_vecs), (even_vals, even_vecs) = _lapack_eigh(odd, k), _lapack_eigh(even, k)
+    odd_vals, odd_vecs = _lapack_eigh(odd, k) if m else (np.empty(0), odd)
+    even_vals, even_vecs = _lapack_eigh(even, k)
     del odd, even
     vals = np.concatenate([odd_vals, even_vals])
     from_odd = np.arange(len(vals)) < len(odd_vals)
@@ -179,15 +193,6 @@ def _mirror_eigh(
             vecs[p, j] = vecs[q, j] = u[:m] / np.sqrt(2.0)
             vecs[f, j] = u[m:]
     return vals[chosen], vecs
-
-
-def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs by LAPACK: of the two mirror blocks of H when the
-    lattice has a mirror, else of the dense matrix."""
-    mirror = _mirror(op)
-    if mirror is not None:
-        return _mirror_eigh(op, k, *mirror)
-    return _lapack_eigh(op.matrix(), k)
 
 
 def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -225,13 +230,13 @@ def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np
 def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
     """k smallest eigenvalues of H with deterministically signed eigenvectors.
 
-    Dense eigh below LANCZOS_MIN_NODES inside cells (or when k is within 1
-    of n), on the two mirror blocks of H when the lattice has a mirror; from
-    there on ARPACK on the matrix-free operator, plain Lanczos in
-    2D and shift-invert in 1D, while its n x (2k + 1) basis fits in
-    MAX_DENSE_NODES^2 doubles, the dense matrix's footprint; past that, dense
-    eigh up to MAX_DENSE_NODES cells and ValueError above. Every pair must
-    satisfy ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
+    Dense eigh on the mirror blocks of H below LANCZOS_MIN_NODES inside
+    cells (or when k is within 1 of n); from there on ARPACK on the
+    matrix-free operator, plain Lanczos in 2D and shift-invert in 1D, while
+    its n x (2k + 1) basis fits in MAX_DENSE_NODES^2 doubles, the dense
+    matrix's footprint; past that, dense eigh, which refuses more than
+    MAX_DENSE_NODES cells with ValueError. Every pair must satisfy
+    ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
@@ -239,11 +244,6 @@ def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
         raise ValueError(f"k = {k} exceeds the number of nodes {op.n}")
     arpack_fits = op.n * (2 * k + 1) <= MAX_DENSE_NODES**2
     if op.n < LANCZOS_MIN_NODES or k >= op.n - 1 or not arpack_fits:  # ARPACK needs k < n - 1
-        if op.n > MAX_DENSE_NODES:
-            raise ValueError(
-                f"k = {k} at n = {op.n}: ARPACK's n x (2k + 1) basis and the dense matrix both exceed "
-                f"MAX_DENSE_NODES^2 = {MAX_DENSE_NODES**2} doubles; choose a smaller k or a coarser h"
-            )
         vals, vecs = _dense_eigh(op, k)
     else:
         vals, vecs = _lanczos(op, k, shift_invert=op.d == 1)
@@ -350,12 +350,9 @@ def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarra
     """P(tau > t) of the discrete chain started at the given node.
 
     Evaluates exp(-t H) 1 at the node through the full spectral
-    decomposition, which is exact for the discrete semigroup.
+    decomposition by _dense_eigh, which is exact for the discrete semigroup.
     """
-    from scipy.linalg import eigh
-
-    H = op.matrix()
-    vals, vecs = eigh(H)
+    vals, vecs = _dense_eigh(op, op.n)
     weights = vecs[node, :] * (vecs.sum(axis=0))
     ts = np.asarray(ts, dtype=float)
     return np.exp(-np.outer(ts, vals)) @ weights

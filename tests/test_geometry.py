@@ -275,6 +275,19 @@ def test_domain_validation():
     for h in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             RasterMask(np.ones(3, dtype=bool), h)
+    for origin in [(float("nan"),), (float("inf"),), (0.0, float("-inf"))]:
+        with pytest.raises(ValueError, match="mask origin must be finite"):
+            RasterMask(np.ones((3,) * len(origin), dtype=bool), 0.1, origin)
+
+    def inside(pts):
+        return np.ones(len(pts), dtype=bool)
+
+    for h in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="mask spacing h must be positive and finite"):
+            mask_from_predicate((0.0,), (1.0,), h, inside)
+    for lo, hi in [((float("nan"),), (1.0,)), ((0.0,), (float("nan"),)), ((0.0, 0.0), (1.0, float("inf")))]:
+        with pytest.raises(ValueError, match="mask corners lo = .* and hi = .* must be finite"):
+            mask_from_predicate(lo, hi, 0.1, inside)
     # touching endpoints are disjoint as open sets
     IntervalUnion(((-1.0, 0.0), (0.0, 1.0)))
 

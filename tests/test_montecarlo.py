@@ -28,6 +28,9 @@ def test_config_validation():
         cfg(alpha=2.0)
     with pytest.raises(ValueError):
         cfg(delta=0.0)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step delta must be positive and finite"):
+            cfg(delta=delta)
     with pytest.raises(ValueError):
         cfg(paths=10)
     with pytest.raises(ValueError):

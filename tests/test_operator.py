@@ -38,9 +38,11 @@ def exact_interval_profile(op, a, b, alpha):
 
 def test_weights_symmetric_and_positive():
     _, op = interval_op(-1.0, 1.0, 0.05)
-    assert np.array_equal(op.weights, op.weights.T)
-    assert (op.weights >= 0.0).all()
-    assert float(np.diag(op.weights).max()) == 0.0
+    cells = np.arange(op.n)
+    w = op.weights_between(cells, cells)
+    assert np.array_equal(w, w.T)
+    assert (w >= 0.0).all()
+    assert float(np.diag(w).max()) == 0.0
     assert (op.kill > 0.0).all()
 
 
@@ -78,7 +80,7 @@ def test_cross_component_weights_positive():
     grid = rasterize(IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), 0.1)
     op = assemble(grid, 1.0)
     left = op.centers[:, 0] < 0.0
-    w_cross = op.weights[np.ix_(left, ~left)]
+    w_cross = op.weights_between(np.flatnonzero(left), np.flatnonzero(~left))
     assert (w_cross > 0.0).all()
 
 
@@ -286,7 +288,9 @@ def test_kill_checked_on_construction():
 def test_disk_assembly_and_exit_time():
     grid = rasterize(Ball((0.0, 0.0), 1.0), 0.1)
     op = assemble(grid, 1.0)
-    assert np.array_equal(op.weights, op.weights.T)
+    cells = np.arange(op.n)
+    w = op.weights_between(cells, cells)
+    assert np.array_equal(w, w.T)
     assert (op.kill > 0.0).all()
     s = exit_time(op).values
     center = int(np.argmin(np.sum(op.centers**2, axis=1)))
@@ -376,10 +380,12 @@ def test_weights_and_kill_match_scheme_formulas(dom, alpha):
         dx = [int(v) for v in cell - grid.index[i]]
         return _rate_1d(abs(dx[0]), h, alpha, a_norm) if d == 1 else _rate_2d(*dx, h, alpha, a_norm)
 
+    cells = np.arange(op.n)
+    w = op.weights_between(cells, cells)
     for i in range(op.n):
         for j in range(op.n):
             want = 0.0 if i == j else rate(i, grid.index[j])
-            assert op.weights[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert w[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     lo, hi = grid.box()
     outside = np.argwhere(~grid.inside)

@@ -170,6 +170,18 @@ def test_level_set_measure(interval_run):
     assert rep.measure == pytest.approx(len(rep.node_indices) * op.h, rel=1e-12)
 
 
+@pytest.mark.parametrize("dom, h", [(interval(-1.0, 1.0), 0.05), (Box((-1.0, -1.0), (1.0, 1.0)), 0.1)])
+def test_survival_profile_on_a_mirror_lattice_matches_the_full_eigh(dom, h):
+    op = assemble(rasterize(dom, h), 1.0)
+    assert len(spectra._mirror(op)[0])  # the profile sums over both mirror blocks
+    vals, vecs = eigh(op.matrix())
+    node = int(np.argmin(np.sum(op.centers**2, axis=1)))
+    ts = np.array([0.0, 0.1, 1.0, 5.0])
+    want = np.exp(-np.outer(ts, vals)) @ (vecs[node, :] * vecs.sum(axis=0))
+    got = survival_profile(op, node, ts)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_survival_profile_matches_exit_time_integral():
     # int_0^inf P(tau > t) dt = expected exit time; checked on a small grid
     op, sol = solve_interval(-1.0, 1.0, 0.05, k=2)
@@ -344,6 +356,7 @@ def test_k_beyond_the_lanczos_basis_cap(monkeypatch):
     for k, path in ((604, "lanczos"), (605, "dense")):
         with pytest.raises(Chosen, match=path):
             eigenpairs(op, k)
+    monkeypatch.undo()  # the real _dense_eigh refuses before it allocates
     monkeypatch.setattr(spectra, "MAX_DENSE_NODES", 999)  # below n: no dense fallback either
     with pytest.raises(ValueError, match="k = 605 at n = 1000"):
         eigenpairs(op, 605)
@@ -368,7 +381,7 @@ def test_mirror_halves_match_full_eigh(dom, h, alpha):
     k = 6
     op = assemble(rasterize(dom, h), alpha)
     assert op.n < spectra.LANCZOS_MIN_NODES
-    assert spectra._mirror(op) is not None
+    assert len(spectra._mirror(op)[0])  # some mirror pairs
     vals, vecs = spectra._dense_eigh(op, k)
     want, want_vecs = eigh(op.matrix(), subset_by_index=(0, k))
     assert (np.abs(vals - want[:k]) <= 1e-11 * want[:k]).all()
@@ -399,7 +412,8 @@ def test_mirror_pairs_reflect_the_lattice():
 )
 def test_lattices_without_a_mirror_take_the_full_eigh(dom, h):
     op = assemble(rasterize(dom, h), 1.0)
-    assert spectra._mirror(op) is None
+    p, q, f = spectra._mirror(op)
+    assert len(p) == len(q) == 0 and np.array_equal(f, np.arange(op.n))  # the trivial split
     vals, vecs = spectra._dense_eigh(op, 3)
     want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 2))
     assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
@@ -409,12 +423,12 @@ def test_diag_off_its_mirror_takes_the_full_eigh():
     op = assemble(rasterize(interval(-1.0, 1.0), 0.005), 1.0)
     bound = 1e-2 * spectra.EIG_RESIDUAL_TOL * op.kill.min()
     op.diag[3] += 0.5 * bound  # within the bound: the halves use the pair's mean
-    assert spectra._mirror(op) is not None
+    assert len(spectra._mirror(op)[0])
     vals, _ = spectra._dense_eigh(op, 2)
     want = eigh(op.matrix(), subset_by_index=(0, 1), eigvals_only=True)
     assert (np.abs(vals - want) <= 1e-11 * want).all()
     op.diag[3] += bound  # past it
-    assert spectra._mirror(op) is None
+    assert len(spectra._mirror(op)[0]) == 0
     vals, vecs = spectra._dense_eigh(op, 2)
     want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 1))
     assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
