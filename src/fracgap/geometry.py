@@ -442,8 +442,11 @@ def mask_from_predicate(
         raise ValueError(f"mask spacing h must be positive and finite, got {h}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    corners = f"mask corners lo = {tuple(lo.tolist())} and hi = {tuple(hi.tolist())}"
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError(f"mask corners lo = {tuple(lo)} and hi = {tuple(hi)} must be finite")
+        raise ValueError(f"{corners} must be finite")
+    if not (lo < hi).all():
+        raise ValueError(f"{corners} bound an empty box: need lo < hi on every axis")
     dims = tuple(int(n) for n in np.ceil((hi - lo) / h - 1e-9))
     mask = np.asarray(predicate(_lattice_centers(lo, dims, h)), dtype=bool).reshape(dims)
     return RasterMask(mask, h, tuple(lo))

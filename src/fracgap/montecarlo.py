@@ -19,7 +19,11 @@ generator slots in lockstep rounds of _CHUNK steps; a slot whose path has
 left takes the next unstarted path, its generator re-seeded from states
 that SeedSequence's hash yields for a whole window of path indices at once.
 So a round is nearly always full, and the values for a given seed are
-those of walking each path alone. With workers > 1 the paths are split into
+those of walking each path alone. One walk allocates the window's uniforms,
+transform workspace and trajectories once and reuses them every round
+(`_increments_into` writes through `out=`), so rounds allocate no array of
+the window's size; the values are those of the plain transform
+`increments_from_uniforms`, bit for bit. With workers > 1 the paths are split into
 contiguous ranges of whole windows, walked at once in forked processes
 (`parallel.fork_map`), and the same argument makes the split invisible in
 every value. `_walk_workers` says how many processes pay off for a path count.
@@ -117,10 +121,106 @@ class ExitEstimate:
     useful_ratio: float
 
 
-def _log_sin(x: np.ndarray) -> np.ndarray:
-    """log sin x on (0, pi) from t = tan(x/2), avoiding the scalar libm sin."""
-    t = np.tan(0.5 * x)
-    return np.log(2.0 * t) - np.log1p(t * t)
+def _workspace(cfg: StableSamplerConfig, n: int) -> np.ndarray:
+    """Scratch rows for _increments_into on n increments: the k uniforms and three more."""
+    return np.empty((cfg.uniforms_per_increment + 3, n))
+
+
+def _log_sin_into(x: np.ndarray, t: np.ndarray) -> None:
+    """Overwrite x in (0, pi) with log sin x from tan(x/2), avoiding the scalar libm sin; t is scratch."""
+    x *= 0.5
+    np.tan(x, out=x)
+    np.multiply(x, x, out=t)
+    np.log1p(t, out=t)
+    x *= 2.0
+    np.log(x, out=x)
+    x -= t
+
+
+def _neg_log1p_neg(x: np.ndarray) -> None:
+    """Overwrite a uniform x in (0, 1) with the exponential variate -log1p(-x)."""
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    np.negative(x, out=x)
+
+
+def _increments_into(cfg: StableSamplerConfig, dt: float, u: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+    """Write the increments of uniforms u, shape (n, k), into out, shape (n, d).
+
+    work is a _workspace(cfg, n) of float rows, overwritten; nothing else is
+    allocated beyond views, so a caller that keeps work and out walks in
+    place. Every operation is the ufunc the textbook expression would run, in
+    the same order, so the values do not depend on whether work is reused.
+    """
+    k = cfg.uniforms_per_increment
+    # 0 would give sin(0)/0 or a zero exponential; u + 2^-54 would round
+    # 1 - 2^-53 up to 1, so the floor keeps every uniform inside (0, 1)
+    np.maximum(u.T, 2.0**-54, out=work[:k])
+    alpha = cfg.alpha
+    scale = dt ** (1.0 / alpha)
+    # powers are in-place ** so that numpy takes the scalar-exponent paths (a square root for 0.5)
+    # of the `array ** exponent` expressions they replace
+    if cfg.d == 1:
+        v, x = work[0], out[:, 0]
+        v -= 0.5
+        v *= np.pi
+        if alpha == 1.0:
+            np.tan(v, out=x)
+        else:
+            # sin(alpha v) / cos(v)^(1/alpha) * (cos((1 - alpha) v) / w)^((1 - alpha) / alpha)
+            w, t = work[1:3]
+            _neg_log1p_neg(w)
+            np.multiply(v, alpha, out=x)
+            np.sin(x, out=x)
+            np.cos(v, out=t)
+            t **= 1.0 / alpha
+            x /= t
+            v *= 1.0 - alpha
+            np.cos(v, out=v)
+            v /= w
+            v **= (1.0 - alpha) / alpha
+            x *= v
+        x *= scale
+        return
+    rho = alpha / 2.0
+    theta, e1, e2, c = work[:k]
+    log_s, t, scratch = work[k:]
+    theta *= np.pi
+    # log S = (rho log sin(rho theta) + (1 - rho) log sin((1 - rho) theta) - log sin theta - (1 - rho) log E1) / rho
+    np.multiply(theta, rho, out=log_s)
+    _log_sin_into(log_s, scratch)
+    log_s *= rho
+    if rho == 1.0 - rho:
+        log_s += log_s
+    else:
+        np.multiply(theta, 1.0 - rho, out=t)
+        _log_sin_into(t, scratch)
+        t *= 1.0 - rho
+        log_s += t
+    _log_sin_into(theta, scratch)
+    log_s -= theta
+    _neg_log1p_neg(e1)
+    np.log(e1, out=e1)
+    e1 *= 1.0 - rho
+    log_s -= e1
+    log_s /= rho
+    # radius 2 dt^(1/alpha) sqrt(S E2), turned by the Cauchy variate c as ((1 - c^2), 2c) / (1 + c^2)
+    _neg_log1p_neg(e2)
+    np.log(e2, out=e2)
+    log_s += e2
+    log_s *= 0.5
+    radius = np.exp(log_s, out=log_s)
+    radius *= 2.0 * scale
+    c -= 0.5
+    c *= np.pi
+    np.tan(c, out=c)
+    np.multiply(c, c, out=scratch)
+    np.add(scratch, 1.0, out=t)
+    radius /= t
+    np.subtract(1.0, scratch, out=t)
+    np.multiply(radius, t, out=out[:, 0])
+    c *= 2.0
+    np.multiply(radius, c, out=out[:, 1])
 
 
 def increments_from_uniforms(cfg: StableSamplerConfig, dt: float, u: np.ndarray) -> np.ndarray:
@@ -137,34 +237,9 @@ def increments_from_uniforms(cfg: StableSamplerConfig, dt: float, u: np.ndarray)
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != cfg.uniforms_per_increment:
         raise ValueError(f"need uniforms of shape (n, {cfg.uniforms_per_increment}), got {u.shape}")
-    # 0 would give sin(0)/0 or a zero exponential; u + 2^-54 would round
-    # 1 - 2^-53 up to 1, so the floor keeps every uniform inside (0, 1)
-    u = np.maximum(u.T, 2.0**-54, order="C")
-    alpha = cfg.alpha
-    scale = dt ** (1.0 / alpha)
-    if cfg.d == 1:
-        v = np.pi * (u[0] - 0.5)
-        if alpha == 1.0:
-            x = np.tan(v)
-        else:
-            w = -np.log1p(-u[1])
-            x = np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * v) / w) ** (
-                (1.0 - alpha) / alpha
-            )
-        return (scale * x)[:, None]
-    rho = alpha / 2.0
-    theta = np.pi * u[0]
-    log_s = (
-        rho * _log_sin(rho * theta)
-        + (1.0 - rho) * _log_sin((1.0 - rho) * theta)
-        - _log_sin(theta)
-        - (1.0 - rho) * np.log(-np.log1p(-u[1]))
-    ) / rho
-    radius = 2.0 * scale * np.exp(0.5 * (log_s + np.log(-np.log1p(-u[2]))))
-    c = np.tan(np.pi * (u[3] - 0.5))
-    c2 = c * c
-    radius /= 1.0 + c2
-    return np.stack([radius * (1.0 - c2), radius * (2.0 * c)], axis=-1)
+    out = np.empty((len(u), cfg.d))
+    _increments_into(cfg, dt, u, _workspace(cfg, len(u)), out)
+    return out
 
 
 def sample_stable_increment(
@@ -242,9 +317,15 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
     outside and returns the number of increments drawn. Every path's rounds
     start at its own step 0 and positions are summed one step at a time, so
     neither the window, the round length nor the schedule changes a bit.
+    The uniforms, the transform's workspace and the trajectories live in
+    buffers allocated once for the window; each round works in leading views
+    of them, and only copies outlive it.
     """
     paths = len(exit_steps)
     gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(min(_BLOCK, paths))]
+    k, d = cfg.uniforms_per_increment, cfg.d
+    window = len(gens) * _CHUNK
+    uniforms, work, trajs = np.empty(window * k), _workspace(cfg, window), np.empty(window * d)
     queue: list[tuple[int, int]] = []
     started = 0
 
@@ -270,17 +351,19 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
         c = min(_CHUNK, MAX_STEPS - int(done.max()))
         if c <= 0:
             raise PathBudgetError(f"path {first + int(path[np.argmax(done)])} exceeded {MAX_STEPS} steps")
-        u = np.empty((len(gens), c, cfg.uniforms_per_increment))
+        m = len(gens) * c
+        u = uniforms[: m * k].reshape(len(gens), c, k)
         for gen, row in zip(gens, u):
             gen.random(out=row)
-        traj = increments_from_uniforms(cfg, cfg.delta, u.reshape(-1, u.shape[2])).reshape(len(gens), c, cfg.d)
+        traj = trajs[: m * d].reshape(len(gens), c, d)
+        _increments_into(cfg, cfg.delta, u.reshape(m, k), work[:, :m], traj.reshape(m, d))
         traj[:, 0] += pos
         np.cumsum(traj, axis=1, out=traj)
-        outside = ~contains(domain, traj.reshape(-1, cfg.d)).reshape(len(gens), c)
+        outside = ~contains(domain, traj.reshape(m, d)).reshape(len(gens), c)
         left = outside.any(axis=1)
         exit_steps[path[left]] = done[left] + 1 + np.argmax(outside[left], axis=1)
-        drawn += u.shape[0] * c
-        pos = traj[:, -1]
+        drawn += m
+        pos = traj[:, -1].copy()
         done += c
         # each slot whose path left takes the next path, while any is unstarted
         refill = np.flatnonzero(left)[: paths - started]
@@ -291,8 +374,6 @@ def _walk(cfg: StableSamplerConfig, domain: Domain, x0: np.ndarray, exit_steps: 
         keep[refill] = True
         gens = [gen for gen, kept in zip(gens, keep) if kept]
         path, done, pos = path[keep], done[keep], pos[keep]
-        # a full window's arrays would otherwise stay alive through the next round's transform
-        del u, traj
     return drawn
 
 

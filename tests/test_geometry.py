@@ -288,6 +288,10 @@ def test_domain_validation():
     for lo, hi in [((float("nan"),), (1.0,)), ((0.0,), (float("nan"),)), ((0.0, 0.0), (1.0, float("inf")))]:
         with pytest.raises(ValueError, match="mask corners lo = .* and hi = .* must be finite"):
             mask_from_predicate(lo, hi, 0.1, inside)
+    # an empty box is refused before the predicate is sampled, naming both corners
+    for lo, hi in [((1.0,), (0.0,)), ((0.0,), (0.0,)), ((0.0, 0.0), (1.0, -1.0))]:
+        with pytest.raises(ValueError, match=r"mask corners lo = \(.*\) and hi = \(.*\) bound an empty box"):
+            mask_from_predicate(lo, hi, 0.1, inside)
     # touching endpoints are disjoint as open sets
     IntervalUnion(((-1.0, 0.0), (0.0, 1.0)))
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,17 +140,72 @@ def test_window_refill_keeps_rounds_full(monkeypatch, alpha, d):
     c = cfg(alpha=alpha, d=d, delta=0.01, seed=23, paths=1000)
     domain = interval(-1.0, 1.0) if d == 1 else Ball((0.0, 0.0), 1.0)
     calls = []
+    transform = mc._increments_into
 
     def counted(*args):
         calls.append(args[2].shape[0])
-        return increments_from_uniforms(*args)
+        return transform(*args)
 
-    monkeypatch.setattr(mc, "increments_from_uniforms", counted)
+    monkeypatch.setattr(mc, "_increments_into", counted)
     steps = _exit_steps(c, domain, np.zeros(d))
     path_rounds = -(-steps // mc._CHUNK)
     # every round but those after the last path starts has all _BLOCK slots busy
     assert len(calls) <= -(-int(path_rounds.sum()) // mc._BLOCK) + int(path_rounds.max())
     assert sum(calls) == int(path_rounds.sum()) * mc._CHUNK
+
+
+# recorded before the walker moved into reused buffers: exit steps of paths 0, 127, 128, 511
+# and 999, their sum, and the increments drawn
+GOLDEN_WALKS = [
+    (1, 1.0, [13, 74, 44, 13, 3], 53458, 137600),
+    (1, 1.3, [3, 41, 98, 15, 39], 46140, 133632),
+    (2, 1.0, [2, 30, 23, 2, 47], 31961, 129152),
+    (2, 1.3, [2, 30, 23, 2, 37], 26415, 128000),
+]
+
+
+@pytest.mark.parametrize("d, alpha, picked, total, drawn", GOLDEN_WALKS)
+def test_walk_matches_recorded_exit_steps(d, alpha, picked, total, drawn):
+    c = cfg(alpha=alpha, d=d, delta=0.02, seed=2**70 + 19, paths=1000)
+    domain = interval(-1.0, 1.0) if d == 1 else Ball((0.0, 0.0), 1.0)
+    steps = np.empty(c.paths, dtype=np.int64)
+    assert mc._walk(c, domain, np.zeros(d), steps) == drawn
+    assert steps[[0, 127, 128, 511, 999]].tolist() == picked
+    assert int(steps.sum()) == total
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.3, 1.7])
+def test_workspace_transform_matches_increments_from_uniforms(alpha, d):
+    c = cfg(alpha=alpha, d=d)
+    k = c.uniforms_per_increment
+    u = np.random.default_rng(606).random((1000, k))
+    corners = np.array(np.meshgrid(*[[0.0, 2.0**-54, 0.5, 1.0 - 2.0**-53]] * k, indexing="ij")).reshape(k, -1).T
+    u = np.vstack([u, corners])
+    n = len(u)
+    # leading views of larger buffers left dirty by an earlier round, as the walker passes them
+    work = mc._workspace(c, 2 * n)
+    work.fill(np.nan)
+    out = np.full(2 * n * d, np.inf)[: n * d].reshape(n, d)
+    mc._increments_into(c, 0.3, u, work[:, :n], out)
+    assert out.tobytes() == increments_from_uniforms(c, 0.3, u).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.3, 1.7])
+def test_workspace_transform_allocates_no_arrays(alpha, d):
+    c = cfg(alpha=alpha, d=d)
+    n = mc._BLOCK * mc._CHUNK
+    u = np.random.default_rng(707).random((n, c.uniforms_per_increment))
+    work, out = mc._workspace(c, n), np.empty((n, d))
+    tracemalloc.start()
+    try:
+        mc._increments_into(c, 1e-3, u, work, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # views and ufunc bookkeeping only: one row of the window alone is 128 KB
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("block, chunk", [(1, 1), (7, 333)])
