@@ -109,7 +109,6 @@ FLAGS: dict[str, dict] = {
         "h": (_finite, REQUIRED),
         "k": (_integer, 6),
         "label": (str, None),
-        "prop_slack": (_finite, bounds.PROP_SLACK_PER_H),
         "out": (str, None),
     },
     "exit-time": {
@@ -126,7 +125,6 @@ FLAGS: dict[str, dict] = {
         "variant": (_variant, "derived"),
         "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
         "two_ball_h": (_finite, 0.02),
-        "prop_slack": (_finite, bounds.PROP_SLACK_PER_H),
         "out": (str, None),
     },
     "two-ball": {
@@ -270,7 +268,7 @@ def cmd_solve(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], domain.d)
     grid, op, sol = bounds.solve_domain(domain, p.alpha, cfg["h"], k=cfg["k"])
     label = cfg["label"] or cfg["domain"].partition(":")[0]
-    bound = _report("bound_report", bounds.build_report(sol, domain, p, label, cfg["prop_slack"]))
+    bound = _report("bound_report", bounds.build_report(sol, domain, p, label))
     # the level set's nodes are reported by their count, in the same place
     level_set = dict(
         ("size", len(val)) if key == "node_indices" else (key, val)
@@ -333,13 +331,7 @@ def cmd_exit_time(cfg: dict) -> int:
 
 def cmd_suite(cfg: dict) -> int:
     alphas = cfg["alphas"]
-    reports = bounds.run_suite(
-        alphas=alphas,
-        h1d=cfg["h1d"],
-        h2d=cfg["h2d"],
-        workers=cfg["workers"],
-        prop_slack_per_h=cfg["prop_slack"],
-    )
+    reports = bounds.run_suite(alphas=alphas, h1d=cfg["h1d"], h2d=cfg["h2d"], workers=cfg["workers"])
     tb_alpha = 1.0 if 1.0 in alphas else alphas[0]
     two_ball = bounds.two_ball_experiment(cfg["separations"], StableParams(tb_alpha, 1), cfg["two_ball_h"])
     passed = bounds.suite_passed(reports, cfg["variant"]) and all(

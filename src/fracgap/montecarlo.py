@@ -234,6 +234,8 @@ def increments_from_uniforms(cfg: StableSamplerConfig, dt: float, u: np.ndarray)
     in polar form: radius 2 dt^(1/alpha) sqrt(S E') with E' exponential, and
     the direction from a Cauchy variate c as ((1 - c^2), 2c) / (1 + c^2).
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != cfg.uniforms_per_increment:
         raise ValueError(f"need uniforms of shape (n, {cfg.uniforms_per_increment}), got {u.shape}")
@@ -249,8 +251,6 @@ def sample_stable_increment(
 
     The characteristic function is exp(-dt |z|^alpha) exactly.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     m = 1 if size is None else int(size)
     out = increments_from_uniforms(cfg, dt, rng.random((m, cfg.uniforms_per_increment)))
     return out[0] if size is None else out

@@ -337,12 +337,20 @@ def test_published_value_only_on_canonical_domains(tmp_path, capsys):
     def published(*argv):
         code, out = run_cli(capsys, "solve", *argv, "--out", str(tmp_path))
         assert code == 0
-        return json.loads(out)["bound_report"]["published_value"]
+        report = json.loads(out)["bound_report"]
+        return report["published_value"], report["published_mismatch"]
 
+    interval_value = pytest.approx(1.0 / (3.0 * math.pi**2), rel=1e-12)
     # the labels match a published case, the domains do not
-    assert published("--domain", "interval:0,5", "--h", "0.05") is None
-    assert published("--domain", "box:0,0,3,1", "--label", "square", "--h", "0.1") is None
-    assert published("--domain", "interval:-1,1", "--h", "0.05") == pytest.approx(1.0 / (3.0 * math.pi**2), rel=1e-12)
+    assert published("--domain", "interval:0,5", "--h", "0.05") == (None, None)
+    assert published("--domain", "box:0,0,3,1", "--label", "square", "--h", "0.1") == (None, None)
+    assert published("--domain", "interval:-1,1", "--h", "0.05") == (interval_value, False)
+    # the domain decides, whatever the label
+    disk_value = pytest.approx(3.0 / (256.0 * math.sqrt(math.pi)), rel=1e-12)
+    square_value = pytest.approx(3.0 / (512.0 * math.sqrt(2.0 * math.pi)), rel=1e-12)
+    assert published("--domain", "ball:0,0,1", "--h", "0.1") == (disk_value, True)
+    assert published("--domain", "box:-1,-1,1,1", "--h", "0.1") == (square_value, True)
+    assert published("--domain", "interval:-1,1", "--label", "disk", "--h", "0.05") == (interval_value, False)
 
 
 # command line -> {JSON file written under --out: its key in the printed report, or None for all of it}
@@ -420,6 +428,15 @@ def test_suite_has_no_k_flag(capsys):
     assert "unrecognized arguments: --k 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--domain", "interval:-1,1", "--h", "0.05"], ["suite"]])
+def test_prop_slack_is_not_a_flag(capsys, argv):
+    # the prop verdict always allows the fixed 1 + 10 h
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--prop-slack", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prop-slack 2" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.0, "dim": 2}))
@@ -432,9 +449,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
-    code, _ = run_cli(capsys, "constants", "--config", str(cfg_path))
-    assert code == 2
+    # the prop verdict's slack is the fixed 1 + 10 h, so no command takes prop_slack
+    for command, key in (("constants", "bogus"), ("suite", "prop_slack")):
+        cfg_path.write_text(json.dumps({key: 2}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
 
 def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
@@ -452,9 +471,7 @@ def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
         pytest.param(["exit-time"], {"domain": 5, "h": 0.1}, id="exit-time-config-domain-number"),
         pytest.param(["suite"], {"k": 6}, id="suite-config-k"),
         pytest.param(["mc", "--domain", "interval:-1,1", "--delta", "nan"], None, id="mc-delta-nan"),
-        pytest.param(
-            ["solve", "--domain", "interval:-1,1", "--h", "0.05", "--prop-slack", "nan"], None, id="solve-prop-slack-nan"
-        ),
+        pytest.param(["suite"], {"prop_slack": 2}, id="suite-config-prop-slack"),
         pytest.param(["two-ball", "--dim", "3", "--separations", "4,8", "--h", "0.1"], None, id="two-ball-dim-3"),
         pytest.param(["two-ball", "--separations", "4", "--h", "0.05"], None, id="two-ball-one-separation"),
         pytest.param(
@@ -545,7 +562,6 @@ def test_config_file_matches_flags(tmp_path, capsys):
         "h": 0.05,
         "k": 4,
         "label": "unit",
-        "prop_slack": 2.5,
     }
     flags = [t for key, val in values.items() for t in ("--" + key.replace("_", "-"), str(val))]
     code, by_flags = run_cli(capsys, "solve", *flags, "--out", str(tmp_path / "flags"))

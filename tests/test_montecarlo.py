@@ -96,6 +96,15 @@ def test_single_increment_shape():
         increments_from_uniforms(cfg(d=2), 0.5, np.full((3, 2), 0.5))
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_time_step_is_refused(dt):
+    c = cfg(d=2)
+    with pytest.raises(ValueError, match=f"time step dt must be positive and finite, got {dt}"):
+        increments_from_uniforms(c, dt, np.full((3, 4), 0.5))
+    with pytest.raises(ValueError, match=f"time step dt must be positive and finite, got {dt}"):
+        sample_stable_increment(c, dt, np.random.default_rng(1), size=3)
+
+
 class _CornerUniforms:
     """Stands in for a Generator: every row is one corner of [0, 1 - 2^-53]^k."""
 
