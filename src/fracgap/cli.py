@@ -3,9 +3,10 @@ the canonical experiments, with JSON/CSV reports.
 
 Every JSON report is built by `_report`: its kind, then the fields of the
 result dataclasses it reports, then command-specific extras. `_emit` is the one
-writer of JSON text, to stdout and to the report file under --out; `_write_csv`
-writes the CSV tables. Every command's report lists the files it wrote in its
-`files` block; without --out no command writes a file, and that block is empty.
+writer of JSON text, to stdout and to the report file under --out;
+`spectra._write_table` writes every CSV table. Every command's report lists
+the files it wrote in its `files` block; without --out no command writes a
+file, and that block is empty.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
 Every subcommand is deterministic given its full configuration (including
@@ -89,12 +90,6 @@ def _list_of(item):
     return lambda value: [item(t) for t in str(value).split(",")]
 
 
-def _variant(value) -> str:
-    if value not in ("stated", "derived"):
-        raise ValueError("variant must be 'stated' or 'derived'")
-    return value
-
-
 REQUIRED = object()  # default of a flag that has to be given
 
 # subcommand -> {flag key: (converter, default)}. The flag is --key with "_"
@@ -108,7 +103,6 @@ FLAGS: dict[str, dict] = {
         "alpha": (_alpha, 1.0),
         "h": (_finite, REQUIRED),
         "k": (_integer, 6),
-        "label": (str, None),
         "out": (str, None),
     },
     "exit-time": {
@@ -122,8 +116,6 @@ FLAGS: dict[str, dict] = {
         "h1d": (_finite, 0.005),
         "h2d": (_finite, 0.05),
         "workers": (_workers, 1),
-        "variant": (_variant, "derived"),
-        "separations": (_list_of(_finite), (4.0, 8.0, 16.0, 32.0)),
         "two_ball_h": (_finite, 0.02),
         "out": (str, None),
     },
@@ -156,7 +148,10 @@ def _parse_ball(piece: str) -> Ball:
 
 def parse_domain(text: str) -> Domain:
     """Parse a --domain value: interval:a,b | intervals:a,b;c,d | box:x0,y0,x1,y1 |
-    ball:c...,r | balls:c...,r;c...,r | mask:path."""
+    ball:c...,r | balls:c...,r;c...,r | mask:path.
+
+    One point set comes back as one kind: a 1D box, ball or balls as the
+    IntervalUnion of its pieces, and a one-ball 2D balls as its Ball."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise UsageError(f"bad domain {text!r}; expected kind:params")
@@ -169,11 +164,14 @@ def parse_domain(text: str) -> Domain:
             if len(vals) not in (2, 4):
                 raise UsageError("box needs 2 numbers (1D) or 4 numbers (2D)")
             half = len(vals) // 2
-            return Box(tuple(vals[:half]), tuple(vals[half:]))
-        if kind == "ball":
-            return _parse_ball(rest)
-        if kind == "balls":
-            return BallUnion(tuple(_parse_ball(piece) for piece in rest.split(";")))
+            box = Box(tuple(vals[:half]), tuple(vals[half:]))
+            return IntervalUnion((box.lo + box.hi,)) if box.d == 1 else box
+        if kind in ("ball", "balls"):
+            pieces = [rest] if kind == "ball" else rest.split(";")
+            union = BallUnion(tuple(_parse_ball(piece) for piece in pieces))
+            if union.d == 1:
+                return IntervalUnion(tuple((b.center[0] - b.radius, b.center[0] + b.radius) for b in union.balls))
+            return union.balls[0] if len(union.balls) == 1 else union
         if kind == "mask":
             return load_mask(rest)
     except UsageError:
@@ -243,12 +241,6 @@ def _emit(obj: dict, path: Path | None = None, stdout: bool = True) -> None:
         path.write_text(text)
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a CSV table given column by column; each float as repr, which reads back exactly."""
-    with open(path, "w", newline="") as fh:
-        _write_table(fh, header, columns)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -267,8 +259,7 @@ def cmd_solve(cfg: dict) -> int:
     domain = parse_domain(cfg["domain"])
     p = StableParams(cfg["alpha"], domain.d)
     grid, op, sol = bounds.solve_domain(domain, p.alpha, cfg["h"], k=cfg["k"])
-    label = cfg["label"] or cfg["domain"].partition(":")[0]
-    bound = _report("bound_report", bounds.build_report(sol, domain, p, label))
+    bound = _report("bound_report", bounds.build_report(sol, domain, p, cfg["domain"].partition(":")[0]))
     # the level set's nodes are reported by their count, in the same place
     level_set = dict(
         ("size", len(val)) if key == "node_indices" else (key, val)
@@ -312,7 +303,7 @@ def cmd_exit_time(cfg: dict) -> int:
     if out:
         paths = {"exit_time": out / "exit_time.csv", "report": out / "exit_time.json"}
         columns = [np.arange(op.n), *op.centers.T, field.values]
-        _write_csv(paths["exit_time"], ["node", *(f"x{k+1}" for k in range(op.d)), "s"], columns)
+        _write_table(paths["exit_time"], ["node", *(f"x{k+1}" for k in range(op.d)), "s"], columns)
     exact = _exact_center_value(domain, p)
     max_s = float(field.values.max())
     report = _report(
@@ -333,8 +324,8 @@ def cmd_suite(cfg: dict) -> int:
     alphas = cfg["alphas"]
     reports = bounds.run_suite(alphas=alphas, h1d=cfg["h1d"], h2d=cfg["h2d"], workers=cfg["workers"])
     tb_alpha = 1.0 if 1.0 in alphas else alphas[0]
-    two_ball = bounds.two_ball_experiment(cfg["separations"], StableParams(tb_alpha, 1), cfg["two_ball_h"])
-    passed = bounds.suite_passed(reports, cfg["variant"]) and all(
+    two_ball = bounds.two_ball_experiment((4.0, 8.0, 16.0, 32.0), StableParams(tb_alpha, 1), cfg["two_ball_h"])
+    passed = bounds.suite_passed(reports) and all(
         l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps)
     )
     out = _out_dir(cfg)
@@ -347,11 +338,11 @@ def cmd_suite(cfg: dict) -> int:
             for r in reports
         ]
         header = ["domain", "alpha", "lambda1", "lambda2", "gap", "thm1_margin", "thm2_margin"]
-        _write_csv(paths["csv"], header, zip(*rows))
+        _write_table(paths["csv"], header, zip(*rows))
     report = _report(
         "suite_report",
         passed=bool(passed),
-        asserted_variant=cfg["variant"],
+        asserted_variant="derived",
         reports=[_report("bound_report", r) for r in reports],
         two_ball=_report("two_ball_report", two_ball),
         files=_listed(paths),
@@ -367,7 +358,7 @@ def cmd_two_ball(cfg: dict) -> int:
     paths = {}
     if out:
         paths = {"two_ball": out / "two_ball.csv", "report": out / "two_ball.json"}
-        _write_csv(
+        _write_table(
             paths["two_ball"],
             ["separation", "gap", "lambda1", "upper_bound", "lower_bound", "reference_decay"],
             [res.separations, res.gaps, res.lambda1s, res.upper_bounds, res.lower_bounds, res.reference_decay],
@@ -403,7 +394,7 @@ def cmd_mc(cfg: dict) -> int:
     paths = {}
     if out:
         paths = {"survival": out / "survival.csv", "report": out / "mc_report.json"}
-        _write_csv(paths["survival"], ["t", "survival", "ci"], [est.ts, est.survival, est.survival_ci])
+        _write_table(paths["survival"], ["t", "survival", "ci"], [est.ts, est.survival, est.survival_ci])
     report = _report(
         "mc_report",
         alpha=alpha,

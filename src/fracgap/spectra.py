@@ -358,15 +358,16 @@ def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarra
     return np.exp(-np.outer(ts, vals)) @ weights
 
 
-def _write_table(fh, header: list[str], columns) -> None:
-    """Write a table as csv.writer would: comma-joined fields, CRLF line ends,
-    no quoting (no header name, label or number needs any). Each column is
-    converted once: labels as they are, numbers by repr, which reads back
-    exactly and runs faster than str. Rows are streamed, so the whole text is
-    never held at once."""
+def _write_table(path, header: list[str], columns, facts: str = "") -> None:
+    """Write a CSV file as csv.writer would, after an optional facts line:
+    comma-joined fields, CRLF line ends, no quoting (no header name, label or
+    number needs any). Each column is converted once: labels as they are,
+    numbers by repr, which reads back exactly and runs faster than str. Rows
+    are streamed, so the whole text is never held at once."""
     cells = [map(str if col.dtype.kind == "U" else repr, col.tolist()) for col in map(np.asarray, columns)]
-    fh.write(",".join(header) + "\r\n")
-    fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells)))
+    with open(path, "w", newline="") as fh:
+        fh.write(facts + ",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in map(",".join, zip(*cells)))
 
 
 def export_eigenpairs_csv(sol: EigenSolution, op: KilledOperator, path) -> None:
@@ -377,6 +378,4 @@ def export_eigenpairs_csv(sol: EigenSolution, op: KilledOperator, path) -> None:
     )
     header = ["node", *(f"x{k+1}" for k in range(op.d)), "phi1", "phi2"]
     columns = [np.arange(op.n), *op.centers.T, sol.phis[:, 0], sol.phis[:, 1]]
-    with open(path, "w", newline="") as fh:
-        fh.write(facts)
-        _write_table(fh, header, columns)
+    _write_table(path, header, columns, facts)

@@ -203,12 +203,13 @@ def test_suite_parallel_matches_serial():
 def test_suite_passed_requires_all_verdicts():
     reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2)
     assert suite_passed(reports)
-    assert suite_passed(reports, "stated")
-    reports[0].verdicts["thm2_derived"] = False
-    assert not suite_passed(reports)
-    assert suite_passed(reports, "stated")
+    # the stated thm2 is reported, not asserted
     reports[0].verdicts["thm2_stated"] = False
-    assert not suite_passed(reports, "stated")
+    assert suite_passed(reports)
+    for verdict in ("thm1", "thm2_derived", "prop"):
+        reports[-1].verdicts[verdict] = False
+        assert not suite_passed(reports)
+        reports[-1].verdicts[verdict] = True
 
 
 def test_suite_solves_two_eigenpairs_and_reports_what_six_give(monkeypatch):

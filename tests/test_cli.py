@@ -40,9 +40,13 @@ def test_parse_domain_forms():
     assert parse_domain("intervals:-2,-1;1,2") == IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
     assert parse_domain("box:-1,-1,1,1") == Box((-1.0, -1.0), (1.0, 1.0))
     assert parse_domain("ball:0,0,1") == Ball((0.0, 0.0), 1.0)
-    assert parse_domain("ball:0.5,2") == Ball((0.5,), 2.0)
     two = parse_domain("balls:-4,0,1;4,0,1")
     assert isinstance(two, BallUnion) and len(two.balls) == 2
+    # one point set, one kind: 1D boxes and balls are intervals, a one-ball union its ball
+    assert parse_domain("ball:0.5,2") == IntervalUnion(((-1.5, 2.5),))
+    assert parse_domain("box:-1,1") == IntervalUnion(((-1.0, 1.0),))
+    assert parse_domain("balls:-4,1;4,1") == IntervalUnion(((-5.0, -3.0), (3.0, 5.0)))
+    assert parse_domain("balls:0,0,1") == Ball((0.0, 0.0), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -309,8 +313,6 @@ def test_suite_command(tmp_path, capsys, schema):
         "0.02",
         "--h2d",
         "0.1",
-        "--separations",
-        "4,8",
         "--two-ball-h",
         "0.05",
         "--out",
@@ -341,16 +343,42 @@ def test_published_value_only_on_canonical_domains(tmp_path, capsys):
         return report["published_value"], report["published_mismatch"]
 
     interval_value = pytest.approx(1.0 / (3.0 * math.pi**2), rel=1e-12)
-    # the labels match a published case, the domains do not
+    # the kinds match a published case, the domains do not
     assert published("--domain", "interval:0,5", "--h", "0.05") == (None, None)
-    assert published("--domain", "box:0,0,3,1", "--label", "square", "--h", "0.1") == (None, None)
+    assert published("--domain", "box:0,0,3,1", "--h", "0.1") == (None, None)
+    assert published("--domain", "ball:0,0,2", "--h", "0.2") == (None, None)
     assert published("--domain", "interval:-1,1", "--h", "0.05") == (interval_value, False)
-    # the domain decides, whatever the label
     disk_value = pytest.approx(3.0 / (256.0 * math.sqrt(math.pi)), rel=1e-12)
     square_value = pytest.approx(3.0 / (512.0 * math.sqrt(2.0 * math.pi)), rel=1e-12)
     assert published("--domain", "ball:0,0,1", "--h", "0.1") == (disk_value, True)
     assert published("--domain", "box:-1,-1,1,1", "--h", "0.1") == (square_value, True)
-    assert published("--domain", "interval:-1,1", "--label", "disk", "--h", "0.05") == (interval_value, False)
+
+
+@pytest.mark.parametrize(
+    "spellings, value, mismatch",
+    [
+        pytest.param(
+            ["interval:-1,1", "intervals:-1,1", "box:-1,1", "ball:0,1", "balls:0,1"],
+            1.0 / (3.0 * math.pi**2),
+            False,
+            id="interval",
+        ),
+        pytest.param(["ball:0,0,1", "balls:0,0,1"], 3.0 / (256.0 * math.sqrt(math.pi)), True, id="disk"),
+    ],
+)
+def test_every_spelling_of_a_published_domain_gets_its_value(capsys, spellings, value, mismatch):
+    reports = []
+    for text in spellings:
+        code, out = run_cli(capsys, "solve", "--domain", text, "--h", "0.1")
+        assert code == 0
+        reports.append(json.loads(out)["bound_report"])
+    for text, report in zip(spellings, reports):
+        # one point set: the same lambdas, bit for bit, and the case's published value
+        assert (report["lambda1"], report["lambda2"]) == (reports[0]["lambda1"], reports[0]["lambda2"]), text
+        assert report["published_value"] == pytest.approx(value, rel=1e-12), text
+        assert report["published_mismatch"] is mismatch, text
+        # the report is still named by the kind as spelled
+        assert report["label"] == text.partition(":")[0]
 
 
 # command line -> {JSON file written under --out: its key in the printed report, or None for all of it}
@@ -363,7 +391,7 @@ WRITTEN_REPORTS = {
     "exit-time": (["exit-time", "--domain", "interval:-1,1", "--h", "0.05"], {"exit_time.json": None}),
     "two-ball": (["two-ball", "--separations", "4,8", "--h", "0.05"], {"two_ball.json": None}),
     "suite": (
-        ["suite", "--alphas", "1.0", "--h1d", "0.02", "--h2d", "0.1", "--separations", "4,8", "--two-ball-h", "0.05"],
+        ["suite", "--alphas", "1.0", "--h1d", "0.02", "--h2d", "0.1", "--two-ball-h", "0.05"],
         {"suite.json": None},
     ),
     "mc": (["mc", "--domain", "interval:-1,1", "--delta", "0.01", "--paths", "1000"], {"mc_report.json": None}),
@@ -437,6 +465,23 @@ def test_prop_slack_is_not_a_flag(capsys, argv):
     assert "unrecognized arguments: --prop-slack 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["solve", "--domain", "interval:-1,1", "--h", "0.05"], ["--label", "x"], id="solve-label"),
+        pytest.param(["suite"], ["--variant", "stated"], id="suite-variant"),
+        pytest.param(["suite"], ["--separations", "4,8"], id="suite-separations"),
+    ],
+)
+def test_removed_flags_are_refused(capsys, argv, flag):
+    # a report is named by its domain's kind, the suite always gates on the derived thm2
+    # and fits its decay at separations 4, 8, 16 and 32
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"alpha": 1.0, "dim": 2}))
@@ -449,9 +494,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    # the prop verdict's slack is the fixed 1 + 10 h, so no command takes prop_slack
-    for command, key in (("constants", "bogus"), ("suite", "prop_slack")):
-        cfg_path.write_text(json.dumps({key: 2}))
+    # prop_slack, label, variant and the suite's separations are no longer flags
+    for command, key, value in (
+        ("constants", "bogus", 2),
+        ("suite", "prop_slack", 2),
+        ("solve", "label", "x"),
+        ("suite", "variant", "stated"),
+        ("suite", "separations", "4,8"),
+    ):
+        cfg_path.write_text(json.dumps({key: value}))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
@@ -561,7 +612,6 @@ def test_config_file_matches_flags(tmp_path, capsys):
         "alpha": 1.2,
         "h": 0.05,
         "k": 4,
-        "label": "unit",
     }
     flags = [t for key, val in values.items() for t in ("--" + key.replace("_", "-"), str(val))]
     code, by_flags = run_cli(capsys, "solve", *flags, "--out", str(tmp_path / "flags"))

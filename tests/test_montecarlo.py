@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 from scipy.stats import ks_2samp
 
 import fracgap.montecarlo as mc
@@ -198,6 +199,69 @@ def test_workspace_transform_matches_increments_from_uniforms(alpha, d):
     out = np.full(2 * n * d, np.inf)[: n * d].reshape(n, d)
     mc._increments_into(c, 0.3, u, work[:, :n], out)
     assert out.tobytes() == increments_from_uniforms(c, 0.3, u).tobytes()
+
+
+# increments_from_uniforms(cfg(alpha, d), 0.3, u) as float.hex, recorded on an AVX-512 (AVX512_SKX)
+# host, where u is row i of PINNED_UNIFORMS rolled by 0, ..., k - 1 places in columns 0, ..., k - 1
+PINNED_UNIFORMS = [0.0, 0.0625, 0.2, 0.3, 0.45, 0.7, 0.9, 1.0 - 2.0**-53]
+PINNED_INCREMENTS = {
+    (1, 1.0): [
+        ("-0x1.e197d185182dap+49",),
+        ("-0x1.8219842b5ef52p+0",),
+        ("-0x1.a6d314224675dp-2",),
+        ("-0x1.be634238a5983p-3",),
+        ("-0x1.853edfad55f79p-5",),
+        ("0x1.be634238a5981p-3",),
+        ("0x1.d8bb70e3c3602p-1",),
+        ("0x1.0df99c2cdceadp+49",),
+    ],
+    (1, 0.5): [
+        ("-0x1.8a956a711fb95p+93",),
+        ("-0x1.28dcbc14b3991p+54",),
+        ("-0x1.a1fa726338576p+0",),
+        ("-0x1.72e76ccdea9b7p-3",),
+        ("-0x1.4b79ec9a1c0fcp-6",),
+        ("0x1.14e185903b8e9p-4",),
+        ("0x1.7d2fb785feb62p-2",),
+        ("0x1.ee98db6210df1p+95",),
+    ],
+    (2, 1.0): [
+        ("0x1.7c4294b635574p-6", "0x1.24947e0b82658p-4"),
+        ("-0x1.7a69adce7442dp+27", "0x1.12eed8fb880a0p+27"),
+        ("-0x1.3dddf1267be39p-27", "0x1.69b205df12d53p-77"),
+        ("-0x1.72d746f5e2bb0p-3", "-0x1.d91b31870c5fep-54"),
+        ("-0x1.273884811dd0cp-2", "-0x1.e923463b1b00cp-4"),
+        ("-0x1.43058ec93e927p-3", "-0x1.f1144cf8cebedp-2"),
+        ("0x1.ab9dc1ecccbc4p-2", "-0x1.4904515077f93p+0"),
+        ("0x1.4b328dfa9dec5p+49", "-0x1.ae734948dca18p+47"),
+    ],
+    (2, 1.5): [
+        ("0x1.447d74e41fe77p-3", "0x1.f356bfe07ae88p-2"),
+        ("-0x1.839cdc0a41fb9p+10", "0x1.199dfc88529f4p+10"),
+        ("-0x1.feb6a449cdd94p-28", "0x1.2290e9b158d71p-77"),
+        ("-0x1.b4191ebc5309dp-3", "-0x1.162df82c85479p-53"),
+        ("-0x1.775b87c1b6605p-2", "-0x1.36f4d48544ff6p-3"),
+        ("-0x1.7ceba3f0b36f4p-3", "-0x1.251691fcb9ef4p-1"),
+        ("0x1.8fb31f832580bp-2", "-0x1.33898c403feb9p+0"),
+        ("0x1.19310589f6d88p+33", "-0x1.6d7567cbd03a4p+31"),
+    ],
+}
+
+
+@pytest.mark.parametrize("d, alpha", PINNED_INCREMENTS)
+def test_increments_match_recorded_bits(d, alpha):
+    c = cfg(alpha=alpha, d=d)
+    u = np.stack([np.roll(PINNED_UNIFORMS, s) for s in range(c.uniforms_per_increment)], axis=1)
+    got = increments_from_uniforms(c, 0.3, u)
+    want = np.array([[float.fromhex(v) for v in row] for row in PINNED_INCREMENTS[(d, alpha)]])
+    if __cpu_features__["AVX512_SKX"]:
+        # the recording host's SIMD tan, log and exp: every bit is pinned, so reordering the
+        # arithmetic (pi * u - pi / 2 for pi * (u - 0.5)) fails here
+        assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in want.tolist()]
+    else:
+        # numpy's AVX2 and baseline loops of these functions round differently in the last
+        # bits; with them disabled through NPY_DISABLE_CPU_FEATURES the table is met to 2 ulp
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
 
 
 @pytest.mark.parametrize("d", [1, 2])
