@@ -265,15 +265,17 @@ def two_ball_experiment(separations: Sequence[float], p: StableParams, h: float)
     """
     if p.d not in (1, 2):
         raise ValueError(f"the two-component experiment runs in 1D or 2D, got d = {p.d}")
-    seps: list[float] = []
+    seps = [float(r) for r in separations]
+    if any(r <= 2.0 for r in seps):
+        raise ValueError("separations must exceed 2 so the components are disjoint")
+    if len(set(seps)) < 2:
+        raise ValueError("the decay fit needs at least two distinct separations")
     gaps: list[float] = []
     lam1s: list[float] = []
     uppers: list[float] = []
     lowers: list[float] = []
-    for r in separations:
-        if r <= 2.0:
-            raise ValueError("separations must exceed 2 so the components are disjoint")
-        domain = _two_component_domain(float(r), p.d)
+    for r in seps:
+        domain = _two_component_domain(r, p.d)
         grid = rasterize(domain, h)
         halves = grid.centers[:, 0] > 0.0
         if min(halves.sum(), (~halves).sum()) < 20:
@@ -284,13 +286,10 @@ def two_ball_experiment(separations: Sequence[float], p: StableParams, h: float)
         f = np.where(halves, 1.0, -1.0)
         upper = variational_energy(op, f, sol.phis[:, 0])
         lower = gap_lower_bound(p, float(sol.lambdas[0]), domain.diameter(), "derived")
-        seps.append(float(r))
         gaps.append(gap)
         lam1s.append(float(sol.lambdas[0]))
         uppers.append(upper)
         lowers.append(lower)
-    if len(set(seps)) < 2:
-        raise ValueError("the decay fit needs at least two distinct separations")
     _, _, sol1 = solve_domain(_single_component_domain(p.d), p.alpha, h)
     lam_single = float(sol1.lambdas[0])
     slope, intercept = np.polyfit(np.log(seps), np.log(gaps), 1)

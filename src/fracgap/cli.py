@@ -8,9 +8,13 @@ writer of JSON text, to stdout and to the report file under --out;
 the files it wrote in its `files` block; without --out no command writes a
 file, and that block is empty.
 
+Every value a command reads is an argv flag declared once in `FLAGS`, which
+argparse converts, defaults and requires; a bad, missing or unknown flag
+exits 2 from argparse, naming the flag.
+
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 numerical failure.
-Every subcommand is deterministic given its full configuration (including
-the seed) at a fixed BLAS thread count: identical invocations then produce
+Every subcommand is deterministic given its flags (including the seed) at a
+fixed BLAS thread count: identical invocations then produce
 identical bytes. The process count changes no value: `suite` results are the
 same for any --workers, and `mc` results for any number of usable cores.
 Across BLAS thread counts the last bits of eigenvalues, eigenvectors and exit
@@ -52,31 +56,34 @@ class UsageError(ValueError):
     pass
 
 
-def _finite(value) -> float:
-    x = float(value)
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not np.isfinite(x):
-        raise ValueError("must be a finite number")
+        raise argparse.ArgumentTypeError("must be a finite number")
     return x
 
 
-def _integer(value) -> int:
-    """An integer given as an int, an integral float or a decimal string; bools are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("must be an integer")
-    return int(value)
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
 
 
-def _workers(value) -> int:
-    n = _integer(value)
+def _workers(text: str) -> int:
+    n = _integer(text)
     if n < 1:
-        raise ValueError("must be at least 1")
+        raise argparse.ArgumentTypeError("must be at least 1")
     return n
 
 
-def _alpha(value) -> float:
-    alpha = _finite(value)
+def _alpha(text: str) -> float:
+    alpha = _finite(text)
     if not 0.0 < alpha < 2.0:
-        raise UsageError(f"alpha must lie in (0, 2), got {alpha}")
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 2), got {alpha}")
     if not CLI_ALPHA_RANGE[0] <= alpha <= CLI_ALPHA_RANGE[1]:
         warnings.warn(
             f"alpha = {alpha} is outside the recommended range {CLI_ALPHA_RANGE}; "
@@ -87,15 +94,15 @@ def _alpha(value) -> float:
 
 
 def _list_of(item):
-    return lambda value: [item(t) for t in str(value).split(",")]
+    return lambda text: [item(t) for t in text.split(",")]
 
 
 REQUIRED = object()  # default of a flag that has to be given
 
 # subcommand -> {flag key: (converter, default)}. The flag is --key with "_"
-# spelled "-"; the --config file key is the key itself. Defaults are used as
-# they stand. Any other value, from the file or a flag, goes through the
-# converter once, so a JSON null is accepted only where the default is None.
+# spelled "-", and argparse builds it from this entry alone: the converter is
+# its type, applied once to the argv string, and the default is used as it
+# stands. A flag whose default is REQUIRED has to be given.
 FLAGS: dict[str, dict] = {
     "constants": {"alpha": (_alpha, 1.0), "dim": (_integer, 1), "out": (str, None)},
     "solve": {
@@ -179,37 +186,6 @@ def parse_domain(text: str) -> Domain:
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad domain {text!r}: {exc}") from exc
     raise UsageError(f"unknown domain kind {kind!r}")
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Each flag's value: its default, then the --config file, then the flag itself."""
-    flags = FLAGS[args.command]
-    given = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                given = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
-        if not isinstance(given, dict):
-            raise UsageError(f"config file {args.config!r} must hold a JSON object")
-        unknown = set(given) - set(flags)
-        if unknown:
-            raise UsageError(f"unknown config keys {sorted(unknown)}")
-    given.update({key: val for key, val in vars(args).items() if key in flags and val is not None})
-    cfg = {}
-    for key, (convert, default) in flags.items():
-        flag = "--" + key.replace("_", "-")
-        value = given.get(key, default)
-        if value is REQUIRED:
-            raise UsageError(f"{args.command} requires {flag}")
-        if value is not default:
-            try:
-                value = convert(value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value {value!r} for {flag}: {exc}") from exc
-        cfg[key] = value
-    return cfg
 
 
 def _out_dir(cfg: dict) -> Path | None:
@@ -438,10 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("mc", cmd_mc, "Monte Carlo exit-time estimate with survival table"),
     ):
         sp = sub.add_parser(command, help=help_text)
-        for key in FLAGS[command]:
+        for key, (convert, default) in FLAGS[command].items():
             out_help = "output directory for report files" if key == "out" else None
-            sp.add_argument("--" + key.replace("_", "-"), help=out_help)
-        sp.add_argument("--config", help="JSON file of flag values keyed by flag name; flags override")
+            sp.add_argument(
+                "--" + key.replace("_", "-"), type=convert, default=default, required=default is REQUIRED, help=out_help
+            )
         sp.set_defaults(func=func)
     return parser
 
@@ -450,12 +427,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_resolve(args))
+        return args.func(vars(args))
     except (AssemblyError, SolveError, PathBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # UsageError, bad domain/mask/config values, too-coarse grids
+        # UsageError, bad domain/mask values, too-coarse grids
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

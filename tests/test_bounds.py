@@ -158,10 +158,20 @@ def test_two_ball_brackets_and_monotone_lambda():
     assert res.gaps[0] > res.gaps[1]
 
 
-def test_two_ball_rejects_small_separation():
-    p = StableParams(1.0, 1)
-    with pytest.raises(ValueError):
-        two_ball_experiment([1.5], p, h=0.02)
+@pytest.fixture
+def no_rasterize(monkeypatch):
+    """bounds.rasterize fails if called: the separations are checked before any solve."""
+
+    def rasterize(*args):
+        raise AssertionError("rasterize called before the separations were checked")
+
+    monkeypatch.setattr(bounds, "rasterize", rasterize)
+
+
+def test_two_ball_rejects_small_separation(no_rasterize):
+    p = StableParams(1.0, 2)
+    with pytest.raises(ValueError, match="must exceed 2"):
+        two_ball_experiment([8.0, 1.5], p, h=0.02)
 
 
 def test_two_ball_rejects_dimension_three():
@@ -170,15 +180,15 @@ def test_two_ball_rejects_dimension_three():
 
 
 @pytest.mark.parametrize("separations", [[4.0], [4.0, 4.0]])
-def test_two_ball_needs_two_distinct_separations(separations):
+def test_two_ball_needs_two_distinct_separations(no_rasterize, separations):
     with pytest.raises(ValueError, match="two distinct separations"):
-        two_ball_experiment(separations, StableParams(1.0, 1), h=0.05)
+        two_ball_experiment(separations, StableParams(1.0, 2), h=0.02)
 
 
 def test_two_ball_rejects_coarse_grid():
     p = StableParams(1.0, 1)
     with pytest.raises(GridTooCoarseError):
-        two_ball_experiment([4.0], p, h=0.2)
+        two_ball_experiment([4.0, 8.0], p, h=0.2)
 
 
 def test_suite_coarse_all_verdicts():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fracgap.cli import main, parse_domain
+from fracgap.cli import FLAGS, REQUIRED, build_parser, main, parse_domain
 from fracgap.geometry import Ball, BallUnion, Box, IntervalUnion, save_mask
 from fracgap import bounds, geometry
 from fracgap.operator import assemble, exit_time
@@ -121,8 +122,10 @@ def test_constants_command_2d(capsys, schema):
 
 
 def test_constants_usage_error(capsys):
-    code, _ = run_cli(capsys, "constants", "--alpha", "2.5", "--dim", "1")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--alpha", "2.5", "--dim", "1"])
+    assert exc.value.code == 2
+    assert "argument --alpha: alpha must lie in (0, 2), got 2.5" in capsys.readouterr().err
 
 
 def test_oversized_lattice_is_a_usage_error(tmp_path, capsys):
@@ -189,8 +192,17 @@ def test_solve_with_mask_domain(tmp_path, capsys, schema):
 
 
 def test_solve_requires_domain(capsys):
-    code, _ = run_cli(capsys, "solve", "--alpha", "1", "--h", "0.02")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--alpha", "1", "--h", "0.02"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --domain\n" in capsys.readouterr().err
+
+
+def test_solve_without_flags_names_domain_and_h(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --domain, --h\n" in capsys.readouterr().err
 
 
 def test_exit_time_command(tmp_path, capsys, schema):
@@ -482,31 +494,6 @@ def test_removed_flags_are_refused(capsys, argv, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 1.0, "dim": 2}))
-    code, out = run_cli(capsys, "constants", "--config", str(cfg_path), "--dim", "1")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["d"] == 1  # flag overrides file
-    assert obj["alpha"] == 1.0  # file overrides default
-
-
-def test_config_file_unknown_key(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    # prop_slack, label, variant and the suite's separations are no longer flags
-    for command, key, value in (
-        ("constants", "bogus", 2),
-        ("suite", "prop_slack", 2),
-        ("solve", "label", "x"),
-        ("suite", "variant", "stated"),
-        ("suite", "separations", "4,8"),
-    ):
-        cfg_path.write_text(json.dumps({key: value}))
-        assert main([command, "--config", str(cfg_path)]) == 2
-        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
-
-
 def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
     with pytest.warns(UserWarning):
         code, out = run_cli(capsys, "constants", "--alpha", "1.9", "--dim", "1")
@@ -515,32 +502,40 @@ def test_alpha_out_of_recommended_range_warns_but_runs(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, message",
     [
-        pytest.param(["solve"], {"domain": 5, "h": 0.1}, id="solve-config-domain-number"),
-        pytest.param(["solve"], {"domain": "interval:-1,1", "h": 0.05, "k": None}, id="solve-config-k-null"),
-        pytest.param(["exit-time"], {"domain": 5, "h": 0.1}, id="exit-time-config-domain-number"),
-        pytest.param(["suite"], {"k": 6}, id="suite-config-k"),
-        pytest.param(["mc", "--domain", "interval:-1,1", "--delta", "nan"], None, id="mc-delta-nan"),
-        pytest.param(["suite"], {"prop_slack": 2}, id="suite-config-prop-slack"),
-        pytest.param(["two-ball", "--dim", "3", "--separations", "4,8", "--h", "0.1"], None, id="two-ball-dim-3"),
-        pytest.param(["two-ball", "--separations", "4", "--h", "0.05"], None, id="two-ball-one-separation"),
+        pytest.param(
+            ["mc", "--domain", "interval:-1,1", "--delta", "nan"],
+            "error: argument --delta: must be a finite number",
+            id="mc-delta-nan",
+        ),
+        pytest.param(
+            ["two-ball", "--dim", "3", "--separations", "4,8", "--h", "0.1"],
+            "usage error: the two-component experiment runs in 1D or 2D, got d = 3",
+            id="two-ball-dim-3",
+        ),
+        pytest.param(
+            ["two-ball", "--separations", "4", "--h", "0.05"],
+            "usage error: the decay fit needs at least two distinct separations",
+            id="two-ball-one-separation",
+        ),
         pytest.param(
             ["mc", "--domain", "interval:-1,1", "--x0", "0,5,7", "--delta", "0.01", "--paths", "1000"],
-            None,
+            "usage error: starting point needs 1 coordinates, got 3",
             id="mc-x0-length-mismatch",
         ),
     ],
 )
-def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config):
-    argv = [*argv, "--out", str(tmp_path / "out")]
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    assert main(argv) == 2
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse refuses a bad flag value itself
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
-    assert "usage error" in captured.err
+    assert message in captured.err
     assert "NaN" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -554,33 +549,70 @@ def test_mc_sampler_inputs_are_usage_errors(tmp_path, capsys, flag, value, messa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "argv, config",
-    [
-        pytest.param(["mc", "--domain", "interval:-1,1"], {"seed": 3.7}, id="seed-fraction"),
-        pytest.param(["mc", "--domain", "interval:-1,1"], {"seed": True}, id="seed-bool"),
-        pytest.param(["mc", "--domain", "interval:-1,1"], {"paths": 1000.9}, id="paths-fraction"),
-        pytest.param(["solve", "--domain", "interval:-1,1", "--h", "0.05"], {"k": 2.5}, id="k-fraction"),
-        pytest.param(["constants"], {"dim": 1.9}, id="dim-fraction"),
-        pytest.param(["suite"], {"workers": 1.5}, id="workers-fraction"),
-        pytest.param(["suite", "--workers", "0"], None, id="workers-zero"),
-    ],
-)
-def test_integer_flags_reject_other_values(tmp_path, capsys, argv, config):
-    argv = [*argv, "--out", str(tmp_path / "out")]
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    assert main(argv) == 2
-    assert "usage error: bad value" in capsys.readouterr().err
+def assert_flag_refused(tmp_path, capsys, argv, reason):
+    """argparse exits 2 naming the bad flag, the last but one of argv, and why; nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: {reason}\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_integer_flags_accept_integral_numbers(tmp_path, capsys):
-    (tmp_path / "cfg.json").write_text(json.dumps({"alpha": 1.0, "dim": 2.0}))
-    code, out = run_cli(capsys, "constants", "--config", str(tmp_path / "cfg.json"))
-    assert code == 0
-    assert json.loads(out)["d"] == 2
+MC = ["mc", "--domain", "interval:-1,1"]
+SOLVE = ["solve", "--domain", "interval:-1,1", "--h", "0.05"]
+EXIT_TIME = ["exit-time", "--domain", "interval:-1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        pytest.param([*MC, "--seed", "3.7"], "must be an integer", id="seed-fraction"),
+        pytest.param([*MC, "--seed", "true"], "must be an integer", id="seed-bool"),
+        pytest.param([*MC, "--paths", "1000.9"], "must be an integer", id="paths-fraction"),
+        pytest.param([*SOLVE, "--k", "2.5"], "must be an integer", id="k-fraction"),
+        # an integral number is not an integer either
+        pytest.param(["constants", "--dim", "2.0"], "must be an integer", id="dim-fraction"),
+        pytest.param(["suite", "--workers", "1.5"], "must be an integer", id="workers-fraction"),
+        pytest.param(["suite", "--workers", "0"], "must be at least 1", id="workers-zero"),
+    ],
+)
+def test_integer_flags_reject_other_values(tmp_path, capsys, argv, reason):
+    assert_flag_refused(tmp_path, capsys, argv, reason)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        pytest.param([*EXIT_TIME, "--h", "x"], "could not convert string to float: 'x'", id="finite-text"),
+        pytest.param([*EXIT_TIME, "--h", "inf"], "must be a finite number", id="finite-inf"),
+        pytest.param(["suite", "--alphas", "1,2"], "alpha must lie in (0, 2), got 2.0", id="list-of-alpha"),
+        pytest.param(["two-ball", "--separations", "4,nan"], "must be a finite number", id="list-of-finite"),
+    ],
+)
+def test_number_and_list_flags_name_the_flag_and_reason(tmp_path, capsys, argv, reason):
+    assert_flag_refused(tmp_path, capsys, argv, reason)
+
+
+@pytest.mark.parametrize("command", WRITTEN_REPORTS)
+def test_config_is_not_a_flag(capsys, command):
+    # every value is an argv flag; there is no file of flag values
+    argv, _ = WRITTEN_REPORTS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
+
+
+def test_every_flag_is_built_from_FLAGS():
+    # one declaration per flag: argparse takes its converter, default and requiredness from FLAGS
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, flags in FLAGS.items():
+        actions = {a.dest: a for a in subparsers.choices[command]._actions if a.dest != "help"}
+        assert list(actions) == list(flags), command
+        for key, (convert, default) in flags.items():
+            action = actions[key]
+            assert (action.type, action.default, action.required) == (convert, default, default is REQUIRED), key
+    assert sum(map(len, FLAGS.values())) == 31
 
 
 def test_mc_report_independent_of_workers(tmp_path, capsys, monkeypatch):
@@ -604,20 +636,3 @@ def test_mc_report_independent_of_workers(tmp_path, capsys, monkeypatch):
         reports[workers] = {key: val for key, val in json.loads(out).items() if key != "files"}
     assert reports["1"] == reports["2"]
     assert (tmp_path / "1" / "survival.csv").read_bytes() == (tmp_path / "2" / "survival.csv").read_bytes()
-
-
-def test_config_file_matches_flags(tmp_path, capsys):
-    values = {
-        "domain": "interval:-1,1",
-        "alpha": 1.2,
-        "h": 0.05,
-        "k": 4,
-    }
-    flags = [t for key, val in values.items() for t in ("--" + key.replace("_", "-"), str(val))]
-    code, by_flags = run_cli(capsys, "solve", *flags, "--out", str(tmp_path / "flags"))
-    assert code == 0
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**values, "out": str(tmp_path / "config")}))
-    code, by_config = run_cli(capsys, "solve", "--config", str(cfg_path))
-    assert code == 0
-    assert by_config.replace(str(tmp_path / "config"), "OUT") == by_flags.replace(str(tmp_path / "flags"), "OUT")
