@@ -22,7 +22,6 @@ import numpy as np
 from . import geometry
 from .constants import (
     StableParams,
-    ball_exit_constant,
     gap_lower_bound,
     ground_state_sup_constant,
     lambda1_upper_ball,
@@ -38,9 +37,7 @@ __all__ = [
     "GridTooCoarseError",
     "verify_ground_state_sup",
     "verify_ball_bound",
-    "rayleigh_exit_profile_check",
     "build_report",
-    "canonical_published_cases",
     "two_ball_experiment",
     "SUITE_ALPHAS",
     "suite_domains",
@@ -104,27 +101,6 @@ def verify_ball_bound(sol: EigenSolution, r: float, p: StableParams) -> tuple[fl
     return lhs, rhs, lhs <= rhs * (1.0 + PROP_SLACK_PER_H * sol.h)
 
 
-def rayleigh_exit_profile_check(
-    op: KilledOperator, domain: Domain, p: StableParams
-) -> tuple[float, float]:
-    """Rayleigh quotient of the exact inscribed-ball exit profile extended by zero.
-
-    The quotient <H f, f> / <f, f> is always >= lambda_1, and since H f is
-    close to 1 on the ball it converges to the closed-form eigenvalue bound
-    as h decreases (in practice from slightly above: the residual of H f - 1
-    concentrates positively in the boundary cells). Returns
-    (quotient, closed-form rhs).
-    """
-    r, center = domain.inscribed_radius()
-    rho2 = np.sum((op.centers - center) ** 2, axis=1) / r**2
-    f = np.where(rho2 < 1.0, np.maximum(1.0 - rho2, 0.0) ** (p.alpha / 2.0), 0.0)
-    f = f * r**p.alpha * ball_exit_constant(p)
-    if not f.any():
-        raise GridTooCoarseError("inscribed ball contains no grid node")
-    quotient = float(f @ op.apply(f)) / float(f @ f)
-    return quotient, lambda1_upper_ball(p, r)
-
-
 # (canonical domain, alpha) -> (its label, published gap bound)
 _PUBLISHED = {
     (interval(-1.0, 1.0), 1.0): ("interval", 1.0 / (3.0 * math.pi**2)),
@@ -136,33 +112,6 @@ _PUBLISHED = {
 def _canonical_pipeline_value(domain: Domain, p: StableParams) -> float:
     """Stated-constant gap bound with lambda_1 replaced by the r = 1 ball bound."""
     return gap_lower_bound(p, lambda1_upper_ball(p, 1.0), domain.diameter(), "stated")
-
-
-def canonical_published_cases() -> list[dict]:
-    """The three canonical gap lower bounds at alpha = 1, next to the pipeline values.
-
-    pipeline = stated-constant bound evaluated with lambda_1 replaced by the
-    inscribed-ball bound at r = 1 and the exact diameter, lambda_1 carrying
-    its exponent -d/alpha. The published 2D numbers correspond to exponent
-    -1 instead and therefore differ; the mismatch is flagged, never patched.
-    """
-    cases = []
-    for (domain, alpha), (label, published) in _PUBLISHED.items():
-        p = StableParams(alpha, domain.d)
-        pipeline = _canonical_pipeline_value(domain, p)
-        cases.append(
-            {
-                "label": label,
-                "alpha": alpha,
-                "d": p.d,
-                "lambda1_bound": lambda1_upper_ball(p, 1.0),
-                "diam": domain.diameter(),
-                "pipeline_stated": pipeline,
-                "published_value": published,
-                "published_mismatch": not math.isclose(pipeline, published, rel_tol=1e-9),
-            }
-        )
-    return cases
 
 
 def build_report(sol: EigenSolution, domain: Domain, p: StableParams, label: str) -> BoundReport:

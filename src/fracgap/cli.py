@@ -273,15 +273,15 @@ def cmd_exit_time(cfg: dict) -> int:
     p = StableParams(cfg["alpha"], domain.d)
     grid = geometry.rasterize(domain, cfg["h"])
     op = assemble(grid, p.alpha)
-    field = exit_time(op)
+    s = exit_time(op)
     out = _out_dir(cfg)
     paths = {}
     if out:
         paths = {"exit_time": out / "exit_time.csv", "report": out / "exit_time.json"}
-        columns = [np.arange(op.n), *op.centers.T, field.values]
+        columns = [np.arange(op.n), *op.centers.T, s]
         _write_table(paths["exit_time"], ["node", *(f"x{k+1}" for k in range(op.d)), "s"], columns)
     exact = _exact_center_value(domain, p)
-    max_s = float(field.values.max())
+    max_s = float(s.max())
     report = _report(
         "exit_time_report",
         p,
@@ -365,7 +365,7 @@ def cmd_mc(cfg: dict) -> int:
         grid, op, sol = bounds.solve_domain(domain, alpha, grid_h)
         grid_lambda1 = float(sol.lambdas[0])
         node = int(np.argmin(np.sum((op.centers - x0) ** 2, axis=1)))
-        grid_exit = float(exit_time(op).values[node])
+        grid_exit = float(exit_time(op)[node])
     out = _out_dir(cfg)
     paths = {}
     if out:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "StableParams",
     "BoundConstants",
@@ -142,11 +144,12 @@ def ball_exit_constant(p: StableParams) -> float:
 
 
 def ball_exit_time_exact(p: StableParams, r: float, x) -> float:
-    """Expected exit time of the ball B(0, r) started at x, |x| < r."""
+    """Expected exit time of the ball B(0, r) started at x, |x| < r; a 0-d x
+    (a Python or numpy scalar) is a 1D coordinate."""
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if isinstance(x, (int, float)):
-        rho2 = (x / r) ** 2
+    if np.ndim(x) == 0:
+        rho2 = (float(x) / r) ** 2
     else:
         rho2 = sum(float(c) ** 2 for c in x) / r**2
     if rho2 >= 1.0:

@@ -32,7 +32,7 @@ every value. `_walk_workers` says how many processes pay off for a path count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "increments_from_uniforms",
     "sample_stable_increment",
     "estimate_exit",
-    "survival_comparison",
     "survival_log_slope",
 ]
 
@@ -89,7 +88,7 @@ class StableSamplerConfig:
             raise ValueError("only dimensions 1 and 2 are supported")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"time step delta must be positive and finite, got {self.delta}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.paths < 1000:
             raise ValueError("need at least 1000 paths")
@@ -442,39 +441,3 @@ def survival_log_slope(est: ExitEstimate) -> float:
         raise ValueError("survival table has too few usable points for a slope fit")
     slope, _ = np.polyfit(est.ts[keep], np.log(est.survival[keep]), 1)
     return float(slope)
-
-
-def survival_comparison(
-    cfg: StableSamplerConfig,
-    domain_a: Domain,
-    domain_b: Domain,
-    ts,
-    x0_a=None,
-    x0_b=None,
-) -> list[dict]:
-    """Check P(tau_A >= t) <= P(tau_B >= t) + 2 * joint CI at each requested t.
-
-    Intended for |A| = |B| with B a ball or interval, started at the
-    respective centers; the continuum inequality is the isoperimetric
-    exit-time comparison. The two domains use decorrelated seeds.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if x0_a is None:
-        _, x0_a = domain_a.inscribed_radius()
-    if x0_b is None:
-        _, x0_b = domain_b.inscribed_radius()
-    est_a = estimate_exit(cfg, domain_a, x0_a, ts=ts)
-    est_b = estimate_exit(replace(cfg, seed=cfg.seed + 1), domain_b, x0_b, ts=ts)
-    out = []
-    for i, t in enumerate(ts):
-        joint = math.hypot(float(est_a.survival_ci[i]), float(est_b.survival_ci[i]))
-        out.append(
-            {
-                "t": float(t),
-                "survival_a": float(est_a.survival[i]),
-                "survival_b": float(est_b.survival[i]),
-                "joint_ci": joint,
-                "ok": bool(est_a.survival[i] <= est_b.survival[i] + 2.0 * joint),
-            }
-        )
-    return out

@@ -1,5 +1,4 @@
-"""Discrete killed generator on a grid: assembly, matrix-free apply, exit times,
-Green/harmonic split.
+"""Discrete killed generator on a grid: assembly, matrix-free apply, exit times.
 
 The operator is H = diag(sum_j w_ij + kill_i) - W acting on the inside cells
 of a Grid. The kernel A * |x - y|^(-d-alpha) is translation invariant, so the
@@ -49,9 +48,9 @@ already diagonalizes: M = mean(diag) - W extended circulantly over the
 padded box, restricted to the inside cells. Its symbol is mean(diag) minus
 the table's symbol, clamped below at min(kill), so M is SPD and costs one
 FFT pair per iteration (Chan & Ng, SIAM Review 1996; Lei & Sun, J. Comput.
-Phys. 2013). Systems on a node subset U, for the sup of the exit time of U
-and for the Green/harmonic split, run the same PCG on H and M restricted to
-U: extend by zero, apply, read back on U. No factorization is formed.
+Phys. 2013). Systems on a node subset U, for the sup of the exit time of U,
+run the same PCG on H and M restricted to U: extend by zero, apply, read
+back on U. No factorization is formed.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ from .geometry import Grid
 
 __all__ = [
     "KilledOperator",
-    "ExitTimeField",
     "AssemblyError",
     "SolveError",
     "assemble",
     "solve",
     "exit_time",
     "sup_exit_time",
-    "dynkin_decomposition",
 ]
 
 MAX_DENSE_NODES = 5000  # cap of the dense n x n arrays (dense eigh, matrix); ~70x70 cells in 2D
@@ -243,13 +240,6 @@ class KilledOperator:
         H = -_gather(self.table, self.index, self.index)
         np.fill_diagonal(H, self.diag)
         return H
-
-
-@dataclass
-class ExitTimeField:
-    """Expected exit time per inside cell; strictly positive."""
-
-    values: np.ndarray
 
 
 def _smooth_len(m: int) -> int:
@@ -438,18 +428,22 @@ def solve(op: KilledOperator, b: np.ndarray) -> np.ndarray:
     return _pcg(op.apply, op.precondition, b)
 
 
-def exit_time(op: KilledOperator) -> ExitTimeField:
-    """Solve H s = 1; s_i is the expected exit time started from cell i."""
+def exit_time(op: KilledOperator) -> np.ndarray:
+    """Solve H s = 1; s_i > 0 is the expected exit time started from cell i."""
     s = solve(op, np.ones(op.n))
     if (s <= 0.0).any():
         raise SolveError("exit time field is not strictly positive")
-    return ExitTimeField(values=s)
+    return s
 
 
 def _subset_indices(op: KilledOperator, subset) -> np.ndarray:
     u = np.asarray(subset)
     if u.dtype == bool:
+        if u.shape != (op.n,):
+            raise ValueError(f"a boolean subset needs one entry per node ({op.n}), got shape {u.shape}")
         u = np.flatnonzero(u)
+    elif u.size and u.dtype.kind not in "iu":
+        raise ValueError(f"subset must hold integer node indices, got dtype {u.dtype}")
     u = u.astype(int)
     if len(u) == 0:
         raise ValueError("subset must be nonempty")
@@ -478,24 +472,3 @@ def sup_exit_time(op: KilledOperator, subset: Sequence[int]) -> float:
     """Max expected exit time of the operator restricted to the given nodes."""
     u = _subset_indices(op, subset)
     return float(_solve_on(op, u, np.ones(len(u))).max())
-
-
-def dynkin_decomposition(
-    op: KilledOperator, subset: Sequence[int], f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split f over a node subset U into harmonic and Green parts.
-
-    Returns (P f, G (H f)|_U) where P applies the discrete harmonic measure
-    of U to the values of f outside U and G is the Green operator of U.
-    The identity f|_U = P f + G (H f)|_U holds exactly; with f an
-    eigenvector the Green part is lambda * G f|_U. Both parts are restricted
-    solves, so the split runs at any n.
-    """
-    u = _subset_indices(op, subset)
-    f = np.asarray(f, dtype=float)
-    outside = f.copy()
-    outside[u] = 0.0
-    # -H_{U,U^c} f_{U^c} = (W f_{U^c})|_U: zero when f vanishes off U
-    harmonic = _solve_on(op, u, -op.apply(outside)[u])
-    green = _solve_on(op, u, op.apply(f)[u])
-    return harmonic, green

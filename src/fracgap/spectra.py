@@ -6,11 +6,8 @@ mirror, the even block being all of H without one; above a measured size
 crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT apply
 in 2D and shift-invert with circulant-PCG solves in 1D), the spectral gap, the
 weighted nonlocal Dirichlet form that the ground-state transform turns the
-gap into (exact in finite dimensions, summed over blocks of rows), the
-antisymmetrized double-sum normalization check (in O(n)), the half-maximum
-level set of the ground state with its exit-time sandwich, and the discrete
-survival function of the killed semigroup (from the same dense eigensolve,
-at every n up to MAX_DENSE_NODES).
+gap into (exact in finite dimensions, summed over blocks of rows), and the
+half-maximum level set of the ground state with its exit-time sandwich.
 """
 
 from __future__ import annotations
@@ -27,11 +24,8 @@ __all__ = [
     "LevelSetReport",
     "eigenpairs",
     "spectral_gap",
-    "ground_state_ratio",
     "variational_energy",
-    "orthogonality_identity_check",
     "level_set_report",
-    "survival_profile",
     "export_eigenpairs_csv",
 ]
 
@@ -269,11 +263,6 @@ def spectral_gap(sol: EigenSolution) -> float:
     return float(sol.lambdas[1] - sol.lambdas[0])
 
 
-def ground_state_ratio(sol: EigenSolution) -> np.ndarray:
-    """The minimizing test function phi_2 / phi_1 of the gap's variational form."""
-    return sol.phis[:, 1] / sol.phis[:, 0]
-
-
 def variational_energy(op: KilledOperator, f: np.ndarray, phi1: np.ndarray) -> float:
     """Weighted nonlocal Dirichlet form of f, after projecting f to the
     admissible class (zero phi_1^2-mean, unit phi_1^2-norm).
@@ -300,18 +289,6 @@ def variational_energy(op: KilledOperator, f: np.ndarray, phi1: np.ndarray) -> f
         [(w * (f[block, None] - f[None, :]) ** 2) @ phi1 for block, w in op.weight_blocks()]
     )
     return 0.5 * hd * float(phi1 @ rows)
-
-
-def orthogonality_identity_check(sol: EigenSolution) -> float:
-    """Double sum of (phi_2(x) phi_1(y) - phi_2(y) phi_1(x))^2 h^(2d).
-
-    Equals 2 for any orthonormal pair; this is the normalization that turns
-    the kernel-free part of the gap bound into an explicit constant. Expanded,
-    the double sum is 2 (|a|^2 |b|^2 - (a.b)^2) for a = phi_2, b = phi_1: O(n).
-    """
-    a = sol.phis[:, 1]
-    b = sol.phis[:, 0]
-    return 2.0 * (float(a @ a) * float(b @ b) - float(a @ b) ** 2) * sol.h ** (2 * sol.d)
 
 
 def level_set_report(sol: EigenSolution, op: KilledOperator) -> LevelSetReport:
@@ -344,18 +321,6 @@ def level_set_report(sol: EigenSolution, op: KilledOperator) -> LevelSetReport:
         volume_bound_ok=bool(measure >= vol_rhs),
         volume_ratio=float(measure / vol_rhs),
     )
-
-
-def survival_profile(op: KilledOperator, node: int, ts: np.ndarray) -> np.ndarray:
-    """P(tau > t) of the discrete chain started at the given node.
-
-    Evaluates exp(-t H) 1 at the node through the full spectral
-    decomposition by _dense_eigh, which is exact for the discrete semigroup.
-    """
-    vals, vecs = _dense_eigh(op, op.n)
-    weights = vecs[node, :] * (vecs.sum(axis=0))
-    ts = np.asarray(ts, dtype=float)
-    return np.exp(-np.outer(ts, vals)) @ weights
 
 
 def _write_table(path, header: list[str], columns, facts: str = "") -> None:

@@ -19,7 +19,6 @@ from fracgap.constants import (
     lambda1_upper_ball,
 )
 from fracgap.bounds import (
-    canonical_published_cases,
     run_suite,
     solve_domain,
     suite_domains,
@@ -28,11 +27,10 @@ from fracgap.bounds import (
 from fracgap.geometry import IntervalUnion, interval, rasterize
 from fracgap.montecarlo import StableSamplerConfig, estimate_exit, survival_log_slope
 from fracgap.operator import assemble, exit_time
+from fracgap.reference import canonical_published_cases, orthogonality_identity_check
 from fracgap.spectra import (
     eigenpairs,
-    ground_state_ratio,
     level_set_report,
-    orthogonality_identity_check,
     spectral_gap,
     variational_energy,
 )
@@ -116,7 +114,7 @@ def test_criterion_4_variational_identity(alpha1_solves):
     worst_ortho = 0.0
     for label, (_, op, sol) in alpha1_solves.items():
         gap = spectral_gap(sol)
-        energy = variational_energy(op, ground_state_ratio(sol), sol.phis[:, 0])
+        energy = variational_energy(op, sol.phis[:, 1] / sol.phis[:, 0], sol.phis[:, 0])
         worst_energy = max(worst_energy, abs(energy - gap) / gap)
         worst_ortho = max(worst_ortho, abs(orthogonality_identity_check(sol) - 2.0))
     ok = worst_energy <= 1e-8 and worst_ortho <= 1e-8
@@ -166,10 +164,10 @@ def test_criterion_7_isoperimetric_exit_and_eigenvalue():
     for h in (0.01, 0.005):
         grid_two = rasterize(IntervalUnion(((-4.5, -3.5), (3.5, 4.5))), h)
         op_two = assemble(grid_two, 1.0)
-        sup_two = float(exit_time(op_two).values.max())
+        sup_two = float(exit_time(op_two).max())
         grid_one = rasterize(interval(-1.0, 1.0), h)
         op_one = assemble(grid_one, 1.0)
-        sup_one = float(exit_time(op_one).values.max())
+        sup_one = float(exit_time(op_one).max())
         ok &= sup_two <= sup_one * (1.0 + 5.0 * h)
         detail.append(f"h={h}: {sup_two:.4f} <= {sup_one:.4f}*(1+5h)")
         if h == 0.005:
@@ -218,7 +216,7 @@ def test_criterion_10_consistency_and_convergence():
         resid = op.matrix() @ exact - 1.0
         resids.append(float(np.abs(resid[np.abs(x) <= 0.8]).max()))
         if h == 0.005:
-            s_max = float(exit_time(op).values.max())
+            s_max = float(exit_time(op).max())
     ok = resids[0] > resids[1] > resids[2]
     ok &= abs(s_max - 1.0) <= 0.02
     report(

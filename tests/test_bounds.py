@@ -7,8 +7,6 @@ from fracgap import bounds
 from fracgap.constants import StableParams, ground_state_sup_constant
 from fracgap.bounds import (
     build_report,
-    canonical_published_cases,
-    rayleigh_exit_profile_check,
     run_suite,
     solve_domain,
     suite_domains,
@@ -19,7 +17,8 @@ from fracgap.bounds import (
     GridTooCoarseError,
 )
 from fracgap.geometry import Ball, Box, interval
-from fracgap.spectra import LANCZOS_MIN_NODES, ground_state_ratio, variational_energy
+from fracgap.reference import canonical_published_cases, rayleigh_exit_profile_check
+from fracgap.spectra import LANCZOS_MIN_NODES, variational_energy
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +142,7 @@ def test_build_report_fields_and_verdicts(interval_solution):
     assert rep.published_value == pytest.approx(1.0 / (3.0 * math.pi**2), rel=1e-12)
     assert rep.published_mismatch is False
     # cross-module consistency: reported gap equals the variational energy
-    energy = variational_energy(op, ground_state_ratio(sol), sol.phis[:, 0])
+    energy = variational_energy(op, sol.phis[:, 1] / sol.phis[:, 0], sol.phis[:, 0])
     assert rep.gap == pytest.approx(energy, rel=1e-8)
 
 

@@ -103,6 +103,28 @@ assert not loaded, loaded
     assert done.returncode == 0, done.stderr
 
 
+def test_no_command_imports_the_reference_checks(tmp_path):
+    # a fresh interpreter: the test session imports fracgap.reference itself
+    code = f"""
+import sys
+from fracgap.cli import main
+for argv in (
+    ["constants"],
+    ["solve", "--domain", "interval:-1,1", "--h", "0.05"],
+    ["exit-time", "--domain", "interval:-1,1", "--h", "0.05"],
+    ["two-ball", "--h", "0.04"],
+    ["mc", "--domain", "interval:-1,1", "--paths", "1000"],
+    ["suite", "--alphas", "1.0", "--h1d", "0.02", "--h2d", "0.1", "--two-ball-h", "0.04", "--out", {str(tmp_path)!r}],
+):
+    assert main(argv) == 0, argv
+assert "fracgap.reference" not in sys.modules
+"""
+    src = str(resources.files("fracgap").parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_constants_command(capsys, schema):
     code, out = run_cli(capsys, "constants", "--alpha", "1", "--dim", "1")
     assert code == 0
@@ -451,7 +473,7 @@ def test_exit_time_csv_is_the_csv_writer_rendering(tmp_path, capsys):
         "report": str(tmp_path / "exit_time.json"),
     }
     grid = geometry.rasterize(Ball((0.0, 0.0), 1.0), 0.1)
-    values = exit_time(assemble(grid, 1.0)).values
+    values = exit_time(assemble(grid, 1.0))
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["node", "x1", "x2", "s"])

@@ -161,6 +161,12 @@ def test_ball_exit_time_values():
         ball_exit_time_exact(p, 1.0, 1.0)
 
 
+def test_ball_exit_time_takes_numpy_scalar_points():
+    p = StableParams(1.3, 1)
+    for x in (np.int64(0), np.float32(0.5), np.array(0.5)):
+        assert ball_exit_time_exact(p, 1.0, x) == ball_exit_time_exact(p, 1.0, float(x))
+
+
 def test_ball_exit_time_radially_decreasing():
     p = StableParams(1.3, 2)
     radii = np.linspace(0.0, 0.99, 40)

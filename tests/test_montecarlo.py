@@ -16,9 +16,9 @@ from fracgap.montecarlo import (
     estimate_exit,
     increments_from_uniforms,
     sample_stable_increment,
-    survival_comparison,
     survival_log_slope,
 )
+from fracgap.reference import survival_comparison
 
 
 def cfg(alpha=1.0, d=1, delta=1e-2, seed=1, paths=2000):
@@ -44,6 +44,13 @@ def test_config_validation():
     assert cfg(paths=2**32 - 1).paths == 2**32 - 1
     with pytest.raises(ValueError, match="below 2\\^32"):
         cfg(paths=2**32)
+
+
+def test_config_refuses_bool_seeds_and_takes_numpy_integers():
+    for seed in (True, False, np.True_):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            cfg(seed=seed)
+    assert cfg(seed=np.uint64(2**63 + 5)).seed == 2**63 + 5
 
 
 def test_characteristic_function_1d():
@@ -465,7 +472,7 @@ def test_survival_comparison_isoperimetric():
 
 def test_survival_matches_grid_semigroup():
     from fracgap.bounds import solve_domain
-    from fracgap.spectra import survival_profile
+    from fracgap.reference import survival_profile
 
     est = estimate_exit(
         cfg(delta=1e-3, paths=20000, seed=12), interval(-1.0, 1.0), 0.0, ts=np.array([1.0])

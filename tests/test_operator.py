@@ -17,10 +17,10 @@ from fracgap.operator import (
     _tail_1d,
     _tail_2d,
     assemble,
-    dynkin_decomposition,
     exit_time,
     sup_exit_time,
 )
+from fracgap.reference import dynkin_decomposition
 
 
 def interval_op(a, b, h, alpha=1.0):
@@ -86,7 +86,7 @@ def test_cross_component_weights_positive():
 
 def test_exit_time_interval_center_value():
     _, op = interval_op(-1.0, 1.0, 0.005)
-    s = exit_time(op).values
+    s = exit_time(op)
     assert (s > 0.0).all()
     assert s.max() == pytest.approx(1.0, abs=0.02)
 
@@ -94,8 +94,8 @@ def test_exit_time_interval_center_value():
 def test_exit_time_dilation_scaling():
     _, op1 = interval_op(-1.0, 1.0, 0.01)
     _, op2 = interval_op(-2.0, 2.0, 0.02)  # same cell count, dilated by 2
-    m1 = exit_time(op1).values.max()
-    m2 = exit_time(op2).values.max()
+    m1 = exit_time(op1).max()
+    m2 = exit_time(op2).max()
     assert m2 == pytest.approx(2.0 * m1, rel=1e-10)  # operator scales exactly
 
 
@@ -103,8 +103,8 @@ def test_exit_time_domain_monotone():
     h = 0.01
     _, op_small = interval_op(-1.0, 1.0, h)
     _, op_big = interval_op(-2.0, 2.0, h)
-    s_small = exit_time(op_small).values
-    s_big = exit_time(op_big).values
+    s_small = exit_time(op_small)
+    s_big = exit_time(op_big)
     # match nodes of the small domain inside the big one by coordinate
     xs = np.round(op_small.centers[:, 0] / h - 0.5).astype(int)
     xb = np.round(op_big.centers[:, 0] / h - 0.5).astype(int)
@@ -117,19 +117,35 @@ def test_isoperimetric_exit_time_comparison():
     # two unit intervals vs one interval of length 2 (equal measure)
     for h in (0.01, 0.005):
         grid_two = rasterize(IntervalUnion(((-4.5, -3.5), (3.5, 4.5))), h)
-        sup_two = exit_time(assemble(grid_two, 1.0)).values.max()
+        sup_two = exit_time(assemble(grid_two, 1.0)).max()
         _, op_one = interval_op(-1.0, 1.0, h)
-        sup_one = exit_time(op_one).values.max()
+        sup_one = exit_time(op_one).max()
         assert sup_two <= sup_one * (1.0 + 5.0 * h)
 
 
 def test_sup_exit_time_consistency_and_monotonicity():
     _, op = interval_op(-1.0, 1.0, 0.02)
     full = sup_exit_time(op, np.arange(op.n))
-    assert full == pytest.approx(exit_time(op).values.max(), rel=1e-12)
+    assert full == pytest.approx(exit_time(op).max(), rel=1e-12)
     small = np.flatnonzero(np.abs(op.centers[:, 0]) < 0.3)
     big = np.flatnonzero(np.abs(op.centers[:, 0]) < 0.7)
     assert sup_exit_time(op, small) <= sup_exit_time(op, big) <= full
+
+
+def test_sup_exit_time_takes_integer_indices_and_full_masks():
+    _, op = interval_op(-1.0, 1.0, 0.05)
+    mask = np.zeros(op.n, dtype=bool)
+    mask[[0, 1, 2]] = True
+    want = sup_exit_time(op, [0, 1, 2])
+    assert sup_exit_time(op, np.array([0, 1, 2], dtype=np.uint16)) == want
+    assert sup_exit_time(op, mask) == want
+
+
+@pytest.mark.parametrize("subset", [[0.5, 1.7, 2.2], [True, False, True]], ids=["non-integral", "short-mask"])
+def test_sup_exit_time_refuses_non_integral_indices_and_short_masks(subset):
+    _, op = interval_op(-1.0, 1.0, 0.05)  # n = 40
+    with pytest.raises(ValueError, match="subset"):
+        sup_exit_time(op, subset)
 
 
 def test_dynkin_identity_random_function():
@@ -292,7 +308,7 @@ def test_disk_assembly_and_exit_time():
     w = op.weights_between(cells, cells)
     assert np.array_equal(w, w.T)
     assert (op.kill > 0.0).all()
-    s = exit_time(op).values
+    s = exit_time(op)
     center = int(np.argmin(np.sum(op.centers**2, axis=1)))
     assert s[center] == pytest.approx(2.0 / math.pi, rel=0.05)
     assert s.max() == pytest.approx(s[center], rel=1e-9)
@@ -306,7 +322,7 @@ def test_node_cap_enforced():
 
 
 def test_dense_oracles_refuse_above_cap():
-    from fracgap.spectra import survival_profile
+    from fracgap.reference import survival_profile
 
     _, op = interval_op(-1.0, 1.0, 0.0002)  # 10000 inside cells
     with pytest.raises(ValueError, match="MAX_DENSE_NODES"):
@@ -424,7 +440,7 @@ def test_cg_exit_times_match_cholesky(suite_ops):
     for label, op in suite_ops:
         H = op.matrix()
         want = cho_solve(cho_factor(H), np.ones(op.n))
-        got = exit_time(op).values
+        got = exit_time(op)
         assert np.abs(got - want).max() <= 1e-11 * want.max(), label
         u = np.flatnonzero(want >= want.max() / 2.0)
         want_u = cho_solve(cho_factor(H[np.ix_(u, u)]), np.ones(len(u))).max()
@@ -472,7 +488,7 @@ def test_circulant_pcg_converges_in_few_iterations(monkeypatch):
     # ~11 iterations with the circulant preconditioner; a diagonal (Jacobi) one needs ~2500
     _, op = interval_op(-1.0, 1.0, 5e-4, alpha=1.7)
     monkeypatch.setattr(operator, "CG_MAX_ITER", 50)
-    s = exit_time(op).values
+    s = exit_time(op)
     resid = op.apply(s) - 1.0  # relative to the size of the terms apply cancels
     assert np.abs(resid).max() <= 1e-13 * float((op.diag * s).max())
     u = np.flatnonzero(s >= s.max() / 2.0)

@@ -11,14 +11,12 @@ from fracgap import spectra
 from fracgap.bounds import suite_domains
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import SolveError, assemble, exit_time
+from fracgap.reference import orthogonality_identity_check, survival_profile
 from fracgap.spectra import (
     _lanczos,
     eigenpairs,
-    ground_state_ratio,
     level_set_report,
-    orthogonality_identity_check,
     spectral_gap,
-    survival_profile,
     variational_energy,
     export_eigenpairs_csv,
 )
@@ -73,7 +71,7 @@ def test_eigenpairs_argument_validation(interval_run):
 def test_variational_identity_interval(interval_run):
     op, sol = interval_run
     gap = spectral_gap(sol)
-    energy = variational_energy(op, ground_state_ratio(sol), sol.phis[:, 0])
+    energy = variational_energy(op, sol.phis[:, 1] / sol.phis[:, 0], sol.phis[:, 0])
     assert energy == pytest.approx(gap, rel=1e-8)
 
 
@@ -82,7 +80,7 @@ def test_variational_identity_2d():
     op = assemble(grid, 1.0)
     sol = eigenpairs(op, 3)
     gap = spectral_gap(sol)
-    energy = variational_energy(op, ground_state_ratio(sol), sol.phis[:, 0])
+    energy = variational_energy(op, sol.phis[:, 1] / sol.phis[:, 0], sol.phis[:, 0])
     assert energy == pytest.approx(gap, rel=1e-8)
 
 
@@ -189,7 +187,7 @@ def test_survival_profile_matches_exit_time_integral():
     ts = np.linspace(0.0, 40.0, 4001)
     surv = survival_profile(op, node, ts)
     integral = np.trapezoid(surv, ts)
-    s = exit_time(op).values[node]
+    s = exit_time(op)[node]
     assert integral == pytest.approx(s, rel=1e-3)
     assert surv[0] == pytest.approx(1.0, abs=1e-10)
 
