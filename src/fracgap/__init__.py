@@ -28,7 +28,7 @@ from .geometry import (
     rasterize,
 )
 from .operator import KilledOperator, assemble, exit_time, sup_exit_time
-from .spectra import EigenSolution, eigenpairs, spectral_gap, variational_energy
+from .spectra import EigenSolution, eigenpairs, spectral_gap
 from .bounds import BoundReport, build_report, run_suite, two_ball_experiment
 from .montecarlo import StableSamplerConfig, estimate_exit
 
@@ -60,7 +60,6 @@ __all__ = [
     "EigenSolution",
     "eigenpairs",
     "spectral_gap",
-    "variational_energy",
     "BoundReport",
     "build_report",
     "run_suite",

@@ -29,7 +29,7 @@ from .constants import (
 from .geometry import Ball, BallUnion, Domain, Grid, IntervalUnion, interval, rasterize
 from .operator import KilledOperator, assemble
 from .parallel import fork_map
-from .spectra import EigenSolution, eigenpairs, spectral_gap, variational_energy
+from .spectra import EigenSolution, eigenpairs, spectral_gap
 
 __all__ = [
     "BoundReport",
@@ -204,6 +204,25 @@ def _single_component_domain(d: int) -> Domain:
     return Ball((0.0, 0.0), 1.0)
 
 
+def _sign_test_energy(op: KilledOperator, phi1: np.ndarray, right: np.ndarray) -> float:
+    """Weighted Dirichlet form of f = +1 on the right component, -1 on the left.
+
+    Projected to the admissible class (zero phi_1^2-mean, unit phi_1^2-norm),
+    f takes two values 2 / s apart, s^2 = sum (f - mean)^2 phi_1^2 h^d, so only
+    cross pairs count: the form is (4 h^d / s^2) phi_L . (W phi_R)_L. Every
+    cross pair is at least k0 cells apart along axis 0, the smallest index gap
+    between the components, so W needs only the table's entries from k0 on.
+    """
+    hd = op.h**op.d
+    w2 = phi1**2 * hd
+    f = np.where(right, 1.0, -1.0)
+    f -= float(f @ w2) / float(w2.sum())
+    s2 = float(f**2 @ w2)
+    k0 = int(op.index[right, 0].min() - op.index[~right, 0].max())
+    phi_left = np.where(right, 0.0, phi1)
+    return 4.0 * hd / s2 * float(phi_left @ op.far_jumps(np.where(right, phi1, 0.0), k0))
+
+
 def two_ball_experiment(separations: Sequence[float], p: StableParams, h: float) -> TwoBallResult:
     """Gap of two far-apart unit components versus separation, with a decay fit.
 
@@ -232,8 +251,7 @@ def two_ball_experiment(separations: Sequence[float], p: StableParams, h: float)
         op = assemble(grid, p.alpha)
         sol = eigenpairs(op, 2)
         gap = spectral_gap(sol)
-        f = np.where(halves, 1.0, -1.0)
-        upper = variational_energy(op, f, sol.phis[:, 0])
+        upper = _sign_test_energy(op, sol.phis[:, 0], halves)
         lower = gap_lower_bound(p, float(sol.lambdas[0]), domain.diameter(), "derived")
         gaps.append(gap)
         lam1s.append(float(sol.lambdas[0]))

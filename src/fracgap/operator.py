@@ -24,23 +24,20 @@ transforms are pruned: the forward pass transforms only the box's rows
 along the last axis before the full transform along the first, and the
 inverse pass keeps only the box's rows before the last-axis inverse, so no
 transform runs over rows that are all zero or never read. The results are
-bitwise those of the full rfftn/irfftn pair. `weights_between` gathers any
-block of W, which is how the dense eigensolve builds its blocks; `matrix`
-gathers the dense n x n H, the oracle that tests check the matrix-free paths
-against, and refuses more than MAX_DENSE_NODES cells.
+bitwise those of the full rfftn/irfftn pair. `far_jumps` zeroes the
+table's near offsets first. `weights_between` gathers any block of W, which
+is how the dense eigensolve builds its blocks; `matrix` gathers the dense
+n x n H, the oracle that tests check the matrix-free paths against, and
+refuses more than MAX_DENSE_NODES cells.
 
-kill_i is the table summed over the outside cells of the lattice box, so a
-nearest neighbor outside feeds the self-cell coefficient into kill (the
-Dirichlet condition for the second difference), plus the mass beyond the
-box. The outside sum is an exact pair sum in 1D and, in 2D, the same FFT
-convolution run over the whole lattice box and applied to the outside
-indicator. The mass beyond the box is in closed form in 1D; in 2D a polar
-quadrature with the radial integral exact and Gauss-Legendre in the angle,
-split at the box corner directions.
-It depends only on a cell's place in the lattice box, so it is evaluated
-once per class of cells related by the box's two reflections (and by the
-transpose when the box is square) and copied to the rest: about 8x fewer
-quadratures on a disk, and the beyond-box rate is exactly symmetric.
+kill_i is the kernel integrated over the complement of the inside cells,
+plus the self-cell coefficient for each outside unit neighbour (the
+Dirichlet condition for the second difference). In 1D it is in closed form
+over the gaps of the complement. In 2D it is the table convolved over the
+lattice box with the outside indicator (the same FFT), plus the mass beyond
+the box by a polar quadrature, exact in the radius and Gauss-Legendre in
+the angle between the box corner directions, evaluated once per class of
+cells that the box's symmetries relate (about 8x fewer on a disk).
 
 Exit times solve H s = 1 (or its restriction to a node subset) by conjugate
 gradients on `apply`, preconditioned by the circulant that the padded FFT
@@ -63,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import StableParams, norm_constant
-from .geometry import Grid
+from .geometry import MAX_LATTICE_CELLS, Grid
 
 __all__ = [
     "KilledOperator",
@@ -81,9 +78,15 @@ SUBDIV = 3  # subdivision per axis for near cells in 2D
 # Gauss-Legendre points per smooth angular segment (4 segments); 32 keeps the
 # tail below 1e-12 relative even for cells hugging a box corner
 TAIL_ANGULAR_POINTS = 32
-# table entries gathered at once (1D kill, blocked rows of W); also the
-# quadrature nodes per block of points in the 2D beyond-box tail
+# quadrature nodes per block of points in the 2D beyond-box tail; also the
+# table entries that the pair sums of fracgap.reference gather at once
 GATHER_BLOCK = 2**18
+# spacings at which the scheme's powers of lattice distances stay normal float64
+# numbers: the distances run from h / SUBDIV to 2 MAX_LATTICE_CELLS h, and every
+# exponent, down to -(d + alpha) in the table and the gap bound and -2 alpha in
+# the squared eigen-residuals, is below 4 in modulus
+_TINY_ROOT = float(np.finfo(float).tiny) ** 0.25
+H_RANGE = (SUBDIV * _TINY_ROOT, 1.0 / (2 * MAX_LATTICE_CELLS * _TINY_ROOT))
 CG_RTOL = 1e-14  # on the recursively updated residual, relative to the right-hand side
 # circulant PCG iterations measured: 6-11 on the suite's 1D domains and 8-21
 # on its 2D ones (alpha 0.5-1.5), 9 / 11 on the interval at n = 4000
@@ -161,38 +164,21 @@ class _BoxConvolution:
 class KilledOperator:
     """Jump rates between inside cells, as one offset table, plus per-cell killing rates.
 
-    `kill` is derived on construction from the table, the inside cells and
-    `beyond` (the killing rate to beyond the lattice box), and so are `diag`
-    (row sums of W plus kill) and the FFT symbol of the table that `apply`
-    and `precondition` use. Raises AssemblyError unless every killing rate is
-    positive and finite.
+    `diag` (row sums of W plus kill) and the FFT symbol of the table that
+    `apply` and `precondition` use are derived on construction. Raises
+    AssemblyError unless every killing rate is positive and finite.
     """
 
     table: np.ndarray
-    beyond: np.ndarray
+    kill: np.ndarray
     h: float
     alpha: float
     d: int
     centers: np.ndarray
     index: np.ndarray
-    kill: np.ndarray = field(init=False, repr=False)
     diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        outside = np.ones(self.table.size, dtype=bool)
-        outside[np.ravel_multi_index(self.index.T, self.table.shape)] = False
-        outside = outside.reshape(self.table.shape)
-        if self.d == 1:
-            # exact pair sum: an FFT loses up to 1.4e-10 relative here at alpha = 1.7
-            blocks = _gather_blocks(self.table, self.index, np.argwhere(outside))
-            near = np.concatenate([w.sum(axis=1) for _, w in blocks])
-        else:
-            # one convolution over the lattice box, whose padding layers carry
-            # the outside neighbours; within 1e-11 relative of the pair sum at
-            # alpha = 1.7 up to n ~ 4000 (tested), 3.2e-12 measured at n = 31428
-            lattice = _BoxConvolution(self.table.shape, self.index)
-            near = lattice(outside, lattice.symbol(self.table))
-        self.kill = near + self.beyond
         if not np.isfinite(self.kill).all() or (self.kill <= 0.0).any():
             raise AssemblyError("killing rates must be positive and finite")
         # apply and precondition convolve over the bounding box of the inside
@@ -213,13 +199,16 @@ class KilledOperator:
         """The block W[rows][:, cols] over node indices, gathered from the table."""
         return _gather(self.table, self.index[rows], self.index[cols])
 
-    def weight_blocks(self):
-        """Yield (rows, W[rows]) over row slices of about GATHER_BLOCK entries; any n."""
-        return _gather_blocks(self.table, self.index, self.index)
-
     def _jumps(self, x: np.ndarray) -> np.ndarray:
         """W x: x placed in the inside cells' box, convolved with the table's even extension."""
         return self._conv(self._conv.scatter(x), self._symbol)
+
+    def far_jumps(self, x: np.ndarray, k0: int) -> np.ndarray:
+        """W x over the pairs of cells at least k0 apart along axis 0: the table is
+        zeroed below k0, so the FFT rounds relative to the entries summed."""
+        far = self.table.copy()
+        far[:k0] = 0.0
+        return self._conv(self._conv.scatter(x), self._conv.symbol(far))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x without forming H."""
@@ -253,16 +242,6 @@ def _smooth_len(m: int) -> int:
         if k == 1:
             return n
         n += 1
-
-
-def _cell_integral_1d(dist: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Exact integral of |u|^(-1-alpha) over a width-h cell at center distance dist."""
-    return ((dist - h / 2.0) ** (-alpha) - (dist + h / 2.0) ** (-alpha)) / alpha
-
-
-def _tail_1d(x: np.ndarray, lo: float, hi: float, alpha: float) -> np.ndarray:
-    """Integral of |x - y|^(-1-alpha) over the complement of [lo, hi]."""
-    return ((x - lo) ** (-alpha) + (hi - x) ** (-alpha)) / alpha
 
 
 def _tail_2d(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float) -> np.ndarray:
@@ -319,6 +298,11 @@ def _tail_2d_block(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float
     return seg.sum(axis=1) / alpha
 
 
+def _self_cell(h: float, alpha: float, a_norm: float) -> float:
+    """The self-cell coefficient that each unit offset carries, exact on quadratics."""
+    return a_norm * (h / 2.0) ** (2.0 - alpha) / ((2.0 - alpha) * h * h)
+
+
 def _kernel_table(dims: tuple[int, ...], h: float, alpha: float, a_norm: float) -> np.ndarray:
     """Jump rate to the cell at every non-negative index offset in the lattice box.
 
@@ -329,7 +313,8 @@ def _kernel_table(dims: tuple[int, ...], h: float, alpha: float, a_norm: float) 
     """
     table = np.zeros(dims)
     if len(dims) == 1:
-        table[1:] = a_norm * _cell_integral_1d(np.arange(1, dims[0]) * h, h, alpha)
+        dist = np.arange(1, dims[0]) * h
+        table[1:] = a_norm * (((dist - h / 2.0) ** (-alpha) - (dist + h / 2.0) ** (-alpha)) / alpha)
     else:
         expo = -(2.0 + alpha) / 2.0
         dx, dy = np.indices(dims)
@@ -342,7 +327,7 @@ def _kernel_table(dims: tuple[int, ...], h: float, alpha: float, a_norm: float) 
                 r2 = (i * h + sx) ** 2 + (j * h + sy) ** 2
                 table[i, j] = a_norm * (h / SUBDIV) ** 2 * float(np.sum(r2**expo))
     unit = tuple(np.eye(len(dims), dtype=int))  # rows of the identity: one unit offset per axis
-    table[unit] += a_norm * (h / 2.0) ** (2.0 - alpha) / ((2.0 - alpha) * h * h)
+    table[unit] += _self_cell(h, alpha, a_norm)
     return table
 
 
@@ -352,39 +337,64 @@ def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return table[tuple(offsets)]
 
 
-def _gather_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Yield (slice, _gather(table, rows[slice], cols)) a block of about GATHER_BLOCK entries at a time."""
-    step = max(1, GATHER_BLOCK // max(1, len(cols)))
-    for i in range(0, len(rows), step):
-        block = slice(i, i + step)
-        yield block, _gather(table, rows[block], cols)
+def _kill_1d(inside: np.ndarray, h: float, alpha: float, a_norm: float) -> np.ndarray:
+    """Killing rate of each inside cell of a 1D lattice: the kernel integrated
+    over each gap of the complement of the inside cells, plus the self-cell
+    coefficient for each outside unit neighbour. From a cell, a gap whose
+    edges lie a < b lattice units away (b infinite past the first and last
+    runs of inside cells) carries ((a h)^(-alpha) - (b h)^(-alpha)) / alpha."""
+    cells = np.flatnonzero(inside)
+    step = np.diff(inside.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+
+    def power(edge: int) -> np.ndarray:  # (distance from each cell's center to the edge)^(-alpha)
+        return (np.abs(cells - edge + 0.5) * h) ** (-alpha)
+
+    gaps = power(starts[0]) + power(ends[-1])
+    for a, b in zip(ends[:-1], starts[1:]):
+        gaps += np.abs(power(a) - power(b))  # the nearer edge has the larger power
+    outside_neighbours = 2 - inside[cells - 1].astype(int) - inside[cells + 1]
+    return a_norm * gaps / alpha + outside_neighbours * _self_cell(h, alpha, a_norm)
+
+
+def _beyond_box_rate(grid: Grid, alpha: float, a_norm: float) -> np.ndarray:
+    """Killing rate of each inside cell of a 2D lattice to beyond its box, evaluated
+    once per class of cells that the box's reflections (and, in a square box, its
+    transpose) map onto each other: exactly symmetric under them."""
+    lo, hi = grid.box()
+    m = np.asarray(grid.dims)
+    folded = np.minimum(grid.index, m - 1 - grid.index)
+    if m[0] == m[1]:
+        folded = np.sort(folded, axis=1)
+    keys, cell_class = np.unique(np.ravel_multi_index(folded.T, grid.dims), return_inverse=True)
+    reps = np.column_stack(np.unravel_index(keys, grid.dims))
+    return a_norm * _tail_2d(grid.origin + (reps + 0.5) * grid.h, lo, hi, alpha)[cell_class]
 
 
 def assemble(grid: Grid, alpha: float) -> KilledOperator:
     """Build the discrete killed generator for the given grid and index alpha."""
     if grid.d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
+    if not H_RANGE[0] <= grid.h <= H_RANGE[1]:
+        raise ValueError(
+            f"h = {grid.h!r} is outside [{H_RANGE[0]:.3g}, {H_RANGE[1]:.3g}], where the operator's "
+            "powers of h leave float64's range; rescale the domain"
+        )
     a_norm = norm_constant(StableParams(alpha, grid.d))
     table = _kernel_table(grid.dims, grid.h, alpha, a_norm)
     if not np.isfinite(table).all() or (table < 0.0).any():
         raise AssemblyError("negative or non-finite jump weight")
-    lo, hi = grid.box()
     if grid.d == 1:
-        tail = _tail_1d(grid.centers[:, 0], float(lo[0]), float(hi[0]), alpha)
+        kill = _kill_1d(grid.inside, grid.h, alpha, a_norm)
     else:
-        # the tail depends only on a cell's place in the lattice box, so it is
-        # evaluated once per class of cells that the box's reflections (and,
-        # in a square box, its transpose) map onto each other
-        m = np.asarray(grid.dims)
-        folded = np.minimum(grid.index, m - 1 - grid.index)
-        if m[0] == m[1]:
-            folded = np.sort(folded, axis=1)
-        keys, cell_class = np.unique(np.ravel_multi_index(folded.T, grid.dims), return_inverse=True)
-        reps = np.column_stack(np.unravel_index(keys, grid.dims))
-        tail = _tail_2d(grid.origin + (reps + 0.5) * grid.h, lo, hi, alpha)[cell_class]
+        # the table convolved over the whole lattice box, whose padding layers
+        # hold the outside neighbours; within 1e-11 relative of the pair sum at
+        # alpha = 1.7 up to n ~ 4000 (tested), 3.2e-12 measured at n = 31428
+        lattice = _BoxConvolution(grid.dims, grid.index)
+        kill = lattice(~grid.inside, lattice.symbol(table)) + _beyond_box_rate(grid, alpha, a_norm)
     return KilledOperator(
         table=table,
-        beyond=a_norm * tail,
+        kill=kill,
         h=grid.h,
         alpha=alpha,
         d=grid.d,

@@ -2,7 +2,9 @@
 
 The commands verify the gap bound through the variational formula and the
 sup-norm estimate of phi_1; these functions check the identities around
-that proof and are called by the tests alone: the Green/harmonic (Dynkin)
+that proof and are called by the tests alone: the weighted Dirichlet form
+of any test function as an O(n^2) pair sum (the oracle of the two-component
+experiment's far-field energy), the Green/harmonic (Dynkin)
 split over a node subset, the survival function of the killed semigroup,
 the antisymmetrized double-sum normalization, the Rayleigh quotient of the
 inscribed-ball exit profile, the published gap constants next to the
@@ -22,10 +24,11 @@ from .bounds import _PUBLISHED, GridTooCoarseError, _canonical_pipeline_value
 from .constants import StableParams, ball_exit_constant, lambda1_upper_ball
 from .geometry import Domain
 from .montecarlo import StableSamplerConfig, estimate_exit
-from .operator import KilledOperator, _solve_on, _subset_indices
+from .operator import GATHER_BLOCK, KilledOperator, _gather, _solve_on, _subset_indices
 from .spectra import EigenSolution, _dense_eigh
 
 __all__ = [
+    "variational_energy",
     "dynkin_decomposition",
     "survival_profile",
     "orthogonality_identity_check",
@@ -33,6 +36,42 @@ __all__ = [
     "canonical_published_cases",
     "survival_comparison",
 ]
+
+
+def _gather_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield (slice, W block) over row slices of about GATHER_BLOCK entries:
+    table[|rows_i - cols_j|] for the rows in the slice and every column."""
+    step = max(1, GATHER_BLOCK // max(1, len(cols)))
+    for i in range(0, len(rows), step):
+        block = slice(i, i + step)
+        yield block, _gather(table, rows[block], cols)
+
+
+def variational_energy(op: KilledOperator, f: np.ndarray, phi1: np.ndarray) -> float:
+    """Weighted nonlocal Dirichlet form of f, after projecting f to the
+    admissible class (zero phi_1^2-mean, unit phi_1^2-norm).
+
+    Computed with the operator's own jump rates,
+        (h^d / 2) * sum_{i != j} w_ij (f_i - f_j)^2 phi_1(i) phi_1(j),
+    which by the ground-state transform equals <(H - lambda_1) g, g> h^d for
+    g = f phi_1. Its minimum over the admissible class is the spectral gap,
+    attained at f = phi_2 / phi_1. A constant f projects to zero and returns
+    energy 0.
+    """
+    f = np.asarray(f, dtype=float)
+    phi1 = np.asarray(phi1, dtype=float)
+    if (phi1 == 0.0).any():
+        raise ValueError("phi1 must have no zero entries")
+    hd = op.h**op.d
+    w2 = phi1**2 * hd
+    f = f - float(np.dot(f, w2)) / float(w2.sum())
+    nrm2 = float(np.dot(f**2, w2))
+    if nrm2 <= 1e-300:
+        return 0.0
+    f = f / np.sqrt(nrm2)
+    blocks = _gather_blocks(op.table, op.index, op.index)
+    rows = np.concatenate([(w * (f[block, None] - f[None, :]) ** 2) @ phi1 for block, w in blocks])
+    return 0.5 * hd * float(phi1 @ rows)
 
 
 def dynkin_decomposition(

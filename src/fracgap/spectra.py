@@ -4,10 +4,8 @@ Covers: the low spectrum with a fixed deterministic sign convention (dense
 LAPACK `eigh` on small grids, on the odd and even blocks of H under a lattice
 mirror, the even block being all of H without one; above a measured size
 crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT apply
-in 2D and shift-invert with circulant-PCG solves in 1D), the spectral gap, the
-weighted nonlocal Dirichlet form that the ground-state transform turns the
-gap into (exact in finite dimensions, summed over blocks of rows), and the
-half-maximum level set of the ground state with its exit-time sandwich.
+in 2D and shift-invert with circulant-PCG solves in 1D), the spectral gap, and
+the half-maximum level set of the ground state with its exit-time sandwich.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ __all__ = [
     "LevelSetReport",
     "eigenpairs",
     "spectral_gap",
-    "variational_energy",
     "level_set_report",
     "export_eigenpairs_csv",
 ]
@@ -261,34 +258,6 @@ def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
 
 def spectral_gap(sol: EigenSolution) -> float:
     return float(sol.lambdas[1] - sol.lambdas[0])
-
-
-def variational_energy(op: KilledOperator, f: np.ndarray, phi1: np.ndarray) -> float:
-    """Weighted nonlocal Dirichlet form of f, after projecting f to the
-    admissible class (zero phi_1^2-mean, unit phi_1^2-norm).
-
-    Computed with the operator's own jump rates,
-        (h^d / 2) * sum_{i != j} w_ij (f_i - f_j)^2 phi_1(i) phi_1(j),
-    which by the ground-state transform equals <(H - lambda_1) g, g> h^d for
-    g = f phi_1. Its minimum over the admissible class is the spectral gap,
-    attained at f = phi_2 / phi_1. A constant f projects to zero and returns
-    energy 0.
-    """
-    f = np.asarray(f, dtype=float)
-    phi1 = np.asarray(phi1, dtype=float)
-    if (phi1 == 0.0).any():
-        raise ValueError("phi1 must have no zero entries")
-    hd = op.h**op.d
-    w2 = phi1**2 * hd
-    f = f - float(np.dot(f, w2)) / float(w2.sum())
-    nrm2 = float(np.dot(f**2, w2))
-    if nrm2 <= 1e-300:
-        return 0.0
-    f = f / np.sqrt(nrm2)
-    rows = np.concatenate(
-        [(w * (f[block, None] - f[None, :]) ** 2) @ phi1 for block, w in op.weight_blocks()]
-    )
-    return 0.5 * hd * float(phi1 @ rows)
 
 
 def level_set_report(sol: EigenSolution, op: KilledOperator) -> LevelSetReport:

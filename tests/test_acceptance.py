@@ -27,12 +27,11 @@ from fracgap.bounds import (
 from fracgap.geometry import IntervalUnion, interval, rasterize
 from fracgap.montecarlo import StableSamplerConfig, estimate_exit, survival_log_slope
 from fracgap.operator import assemble, exit_time
-from fracgap.reference import canonical_published_cases, orthogonality_identity_check
+from fracgap.reference import canonical_published_cases, orthogonality_identity_check, variational_energy
 from fracgap.spectra import (
     eigenpairs,
     level_set_report,
     spectral_gap,
-    variational_energy,
 )
 
 H_FINE_1D = 0.002

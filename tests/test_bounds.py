@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from fracgap import bounds
@@ -16,9 +17,10 @@ from fracgap.bounds import (
     verify_ground_state_sup,
     GridTooCoarseError,
 )
-from fracgap.geometry import Ball, Box, interval
-from fracgap.reference import canonical_published_cases, rayleigh_exit_profile_check
-from fracgap.spectra import LANCZOS_MIN_NODES, variational_energy
+from fracgap.geometry import Ball, Box, interval, rasterize
+from fracgap.operator import assemble
+from fracgap.reference import canonical_published_cases, rayleigh_exit_profile_check, variational_energy
+from fracgap.spectra import LANCZOS_MIN_NODES, eigenpairs
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,17 @@ def test_two_ball_brackets_and_monotone_lambda():
     for lam in res.lambda1s:
         assert lam <= res.lambda1_single
     assert res.gaps[0] > res.gaps[1]
+
+
+@pytest.mark.parametrize("d, alpha, r, h", [(1, 1.7, 16.0, 0.001), (2, 1.0, 4.0, 0.05)], ids=["1d", "2d"])
+def test_sign_test_energy_matches_pair_sum(d, alpha, r, h):
+    grid = rasterize(bounds._two_component_domain(r, d), h)
+    op = assemble(grid, alpha)
+    assert op.n == {1: 2000, 2: 2528}[d]
+    phi1 = eigenpairs(op, 2).phis[:, 0]
+    right = grid.centers[:, 0] > 0.0
+    want = variational_energy(op, np.where(right, 1.0, -1.0), phi1)
+    assert bounds._sign_test_energy(op, phi1, right) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture

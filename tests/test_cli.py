@@ -155,6 +155,29 @@ def test_oversized_lattice_is_a_usage_error(tmp_path, capsys):
     assert "choose a coarser h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # h * h underflows to 0 in the self-cell coefficient
+        ["solve", "--domain", "interval:0,1e-300", "--h", "1e-301"],
+        # the solve succeeds, then the gap bound's diam^-(d + alpha) overflows
+        ["solve", "--domain", "interval:0,1e-160", "--h", "1e-161"],
+        # the 2D table's powers overflow
+        ["exit-time", "--domain", "ball:0,0,1e-160", "--h", "1e-161"],
+    ],
+    ids=["solve-underflow", "solve-overflow", "exit-time-2d"],
+)
+def test_extreme_length_scale_is_a_usage_error(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak on the way out
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: h = "), lines
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_too_many_eigenpairs_is_a_usage_error(tmp_path, capsys):
     # n = 10000: ARPACK's arrays for k = 5000 would take ~1.6 GB, and the dense matrix is capped
     argv = ["solve", "--domain", "interval:-1,1", "--h", "2e-4", "--k", "5000", "--out", str(tmp_path)]

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -8,19 +9,19 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fracgap import operator
-from fracgap.bounds import suite_domains
+from fracgap.bounds import _two_component_domain, suite_domains
 from fracgap.constants import StableParams, ball_exit_constant, norm_constant
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import (
     AssemblyError,
     SolveError,
-    _tail_1d,
+    _beyond_box_rate,
     _tail_2d,
     assemble,
     exit_time,
     sup_exit_time,
 )
-from fracgap.reference import dynkin_decomposition
+from fracgap.reference import _gather_blocks, dynkin_decomposition
 
 
 def interval_op(a, b, h, alpha=1.0):
@@ -252,8 +253,9 @@ def test_fft_kill_matches_pair_sum_2d(alpha):
     grid = rasterize(Ball((0.0, 0.0), 1.0), 0.03)
     op = assemble(grid, alpha)
     assert 1000 <= op.n <= 4000
-    blocks = operator._gather_blocks(op.table, op.index, np.argwhere(~grid.inside))
-    want = np.concatenate([w.sum(axis=1) for _, w in blocks]) + op.beyond
+    blocks = _gather_blocks(op.table, op.index, np.argwhere(~grid.inside))
+    beyond = _beyond_box_rate(grid, alpha, norm_constant(StableParams(alpha, 2)))
+    want = np.concatenate([w.sum(axis=1) for _, w in blocks]) + beyond
     assert (np.abs(op.kill - want) / want).max() <= 1e-11
 
 
@@ -287,7 +289,7 @@ def test_beyond_box_rate_is_exactly_symmetric(dom):
     grid = rasterize(dom, 0.05)  # both lattices and inside sets are symmetric here
     assert np.array_equal(grid.inside, grid.inside[::-1, ::-1])
     beyond = np.zeros(grid.dims)
-    beyond[tuple(grid.index.T)] = assemble(grid, 1.0).beyond
+    beyond[tuple(grid.index.T)] = _beyond_box_rate(grid, 1.0, norm_constant(StableParams(1.0, 2)))
     assert np.array_equal(beyond, beyond[::-1])
     assert np.array_equal(beyond, beyond[:, ::-1])
     if grid.dims[0] == grid.dims[1]:
@@ -296,9 +298,9 @@ def test_beyond_box_rate_is_exactly_symmetric(dom):
 
 def test_kill_checked_on_construction():
     _, op = interval_op(-1.0, 1.0, 0.05)
-    for beyond in (np.full(op.n, np.nan), -op.kill):  # non-finite, then negative
+    for kill in (np.full(op.n, np.nan), -op.kill):  # non-finite, then negative
         with pytest.raises(AssemblyError, match="killing rates"):
-            dataclasses.replace(op, beyond=beyond)
+            dataclasses.replace(op, kill=kill)
 
 
 def test_disk_assembly_and_exit_time():
@@ -406,12 +408,62 @@ def test_weights_and_kill_match_scheme_formulas(dom, alpha):
     lo, hi = grid.box()
     outside = np.argwhere(~grid.inside)
     for i in range(op.n):
-        if d == 1:
-            tail = _tail_1d(grid.centers[i, 0], lo[0], hi[0], alpha)
+        if d == 1:  # the kernel integrated over the complement of the lattice box
+            x = grid.centers[i, 0]
+            tail = ((x - lo[0]) ** (-alpha) + (hi[0] - x) ** (-alpha)) / alpha
         else:
             tail = _tail_2d(grid.centers[i : i + 1], lo, hi, alpha)[0]
         want = sum(rate(i, cell) for cell in outside) + a_norm * tail
         assert op.kill[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _kill_1d_oracle(grid, alpha, nodes):
+    """Killing rates of the given nodes of a 1D grid at 40 digits: the kernel
+    integrated over each gap of the complement of the inside cells, with the
+    distance to a lattice edge e from cell i taken as |i - e + 0.5| h, plus
+    the self-cell coefficient for each outside unit neighbour."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, h = D(alpha), D(grid.h)
+        a_norm = D(norm_constant(StableParams(alpha, 1)))
+        inside = grid.inside.tolist()
+        # lattice edges where the inside mask flips; the padding makes the
+        # first one a run's start, so the gaps run between odd and even edges
+        flips = [e for e in range(1, len(inside)) if inside[e] != inside[e - 1]]
+        gaps = list(zip([None, *flips[1::2]], [*flips[0::2], None]))
+        self_cell = a_norm * (h / 2) ** (2 - a) / ((2 - a) * h * h)
+
+        def power(i, edge):
+            return D(0) if edge is None else (abs(D(i) - edge + D("0.5")) * h) ** (-a)
+
+        rates = []
+        for node in nodes:
+            i = int(grid.index[node, 0])
+            rate = sum(abs(power(i, lo) - power(i, hi)) for lo, hi in gaps) * a_norm / a
+            rate += self_cell * ((not inside[i - 1]) + (not inside[i + 1]))
+            rates.append(float(rate))
+    return np.array(rates)
+
+
+@pytest.mark.parametrize(
+    "dom, h, alpha",
+    [
+        (interval(-1.0, 1.0), 1e-4, 1.9),
+        (next(dom for label, dom, _ in suite_domains() if label == "two_intervals"), 0.005, 1.5),
+        (_two_component_domain(32.0, 1), 0.02, 1.7),
+    ],
+    ids=["interval", "two_intervals", "two_ball"],
+)
+def test_kill_1d_matches_40_digit_oracle(dom, h, alpha):
+    grid = rasterize(dom, h)
+    op = assemble(grid, alpha)
+    # the cells next to every run's ends, where the rate varies fastest, and a spread between
+    breaks = np.flatnonzero(np.diff(grid.index[:, 0]) > 1)
+    ends = np.concatenate([[0, 1, op.n - 2, op.n - 1], breaks - 1, breaks, breaks + 1, breaks + 2])
+    nodes = np.unique(np.concatenate([ends, np.linspace(0, op.n - 1, 25 - len(ends)).astype(int)]))
+    want = _kill_1d_oracle(grid, alpha, nodes)
+    assert (np.abs(op.kill[nodes] - want) / want).max() <= 2e-15
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ from fracgap import spectra
 from fracgap.bounds import suite_domains
 from fracgap.geometry import Ball, Box, IntervalUnion, interval, rasterize
 from fracgap.operator import SolveError, assemble, exit_time
-from fracgap.reference import orthogonality_identity_check, survival_profile
+from fracgap.reference import orthogonality_identity_check, survival_profile, variational_energy
 from fracgap.spectra import (
     _lanczos,
     eigenpairs,
     level_set_report,
     spectral_gap,
-    variational_energy,
     export_eigenpairs_csv,
 )
 
