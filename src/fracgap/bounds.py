@@ -39,7 +39,6 @@ __all__ = [
     "verify_ball_bound",
     "build_report",
     "two_ball_experiment",
-    "SUITE_ALPHAS",
     "suite_domains",
     "run_suite",
     "suite_passed",
@@ -47,8 +46,6 @@ __all__ = [
 ]
 
 PROP_SLACK_PER_H = 10.0  # prop verdict allows lambda_1 <= rhs * (1 + 10 h)
-
-SUITE_ALPHAS = (0.5, 1.0, 1.5)
 
 
 class GridTooCoarseError(ValueError):
@@ -287,7 +284,7 @@ def _lshape(h: float) -> geometry.RasterMask:
     return geometry.mask_from_predicate((-1.0, -1.0), (1.0, 1.0), h, pred)
 
 
-def suite_domains(h1d: float = 0.005, h2d: float = 0.05) -> list[tuple[str, Domain, float]]:
+def suite_domains(h1d: float, h2d: float) -> list[tuple[str, Domain, float]]:
     """The six suite domains with their grid spacings."""
     return [
         ("interval", interval(-1.0, 1.0), h1d),
@@ -305,9 +302,7 @@ def _suite_job(label: str, domain: Domain, h: float, alpha: float) -> BoundRepor
     return build_report(sol, domain, p, label)
 
 
-def run_suite(
-    alphas: Sequence[float] = SUITE_ALPHAS, h1d: float = 0.005, h2d: float = 0.05, workers: int = 1
-) -> list[BoundReport]:
+def run_suite(alphas: Sequence[float], h1d: float, h2d: float, workers: int) -> list[BoundReport]:
     """Run every suite domain at every alpha on `workers` processes; order of results is fixed."""
     jobs = [(label, domain, h, float(alpha)) for label, domain, h in suite_domains(h1d, h2d) for alpha in alphas]
     return fork_map(_suite_job, jobs, workers)

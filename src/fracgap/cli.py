@@ -39,7 +39,7 @@ from .constants import (
     bound_constants,
     lambda1_upper_ball,
 )
-from .geometry import Ball, BallUnion, Box, Domain, IntervalUnion, load_mask
+from .geometry import Ball, BallUnion, Box, Domain, IntervalUnion, _check_ball, load_mask
 from .operator import AssemblyError, SolveError, assemble, exit_time
 from .spectra import _write_table, export_eigenpairs_csv, level_set_report
 from .montecarlo import PathBudgetError, StableSamplerConfig, estimate_exit, survival_log_slope, _walk_workers
@@ -146,19 +146,12 @@ FLAGS: dict[str, dict] = {
 }
 
 
-def _parse_ball(piece: str) -> Ball:
-    *center, radius = (float(t) for t in piece.split(","))
-    if len(center) not in (1, 2):
-        raise UsageError("a ball needs 1 or 2 center coordinates then its radius")
-    return Ball(tuple(center), radius)
-
-
 def parse_domain(text: str) -> Domain:
     """Parse a --domain value: interval:a,b | intervals:a,b;c,d | box:x0,y0,x1,y1 |
     ball:c...,r | balls:c...,r;c...,r | mask:path.
 
-    One point set comes back as one kind: a 1D box, ball or balls as the
-    IntervalUnion of its pieces, and a one-ball 2D balls as its Ball."""
+    One point set comes back as one kind: a 1D box, ball or balls is built as
+    the IntervalUnion of its pieces, and a one-ball 2D balls as its Ball."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise UsageError(f"bad domain {text!r}; expected kind:params")
@@ -167,18 +160,24 @@ def parse_domain(text: str) -> Domain:
             pieces = [rest] if kind == "interval" else rest.split(";")
             return IntervalUnion(tuple(tuple(float(t) for t in piece.split(",")) for piece in pieces))  # type: ignore[arg-type]
         if kind == "box":
-            vals = [float(t) for t in rest.split(",")]
+            vals = tuple(float(t) for t in rest.split(","))
             if len(vals) not in (2, 4):
                 raise UsageError("box needs 2 numbers (1D) or 4 numbers (2D)")
-            half = len(vals) // 2
-            box = Box(tuple(vals[:half]), tuple(vals[half:]))
-            return IntervalUnion((box.lo + box.hi,)) if box.d == 1 else box
+            return IntervalUnion((vals,)) if len(vals) == 2 else Box(vals[:2], vals[2:])
         if kind in ("ball", "balls"):
-            pieces = [rest] if kind == "ball" else rest.split(";")
-            union = BallUnion(tuple(_parse_ball(piece) for piece in pieces))
-            if union.d == 1:
-                return IntervalUnion(tuple((b.center[0] - b.radius, b.center[0] + b.radius) for b in union.balls))
-            return union.balls[0] if len(union.balls) == 1 else union
+            specs = []
+            for piece in [rest] if kind == "ball" else rest.split(";"):
+                *center, radius = (float(t) for t in piece.split(","))
+                if len(center) not in (1, 2):
+                    raise UsageError("a ball needs 1 or 2 center coordinates then its radius")
+                _check_ball(center, radius)
+                specs.append((tuple(center), radius))
+            if len({len(center) for center, _ in specs}) > 1:
+                raise ValueError("all balls must share one dimension")
+            if len(specs[0][0]) == 1:
+                return IntervalUnion(tuple((c - r, c + r) for (c,), r in specs))
+            balls = tuple(Ball(*spec) for spec in specs)
+            return balls[0] if len(balls) == 1 else BallUnion(balls)
         if kind == "mask":
             return load_mask(rest)
     except UsageError:
@@ -300,7 +299,8 @@ def cmd_suite(cfg: dict) -> int:
     alphas = cfg["alphas"]
     reports = bounds.run_suite(alphas=alphas, h1d=cfg["h1d"], h2d=cfg["h2d"], workers=cfg["workers"])
     tb_alpha = 1.0 if 1.0 in alphas else alphas[0]
-    two_ball = bounds.two_ball_experiment((4.0, 8.0, 16.0, 32.0), StableParams(tb_alpha, 1), cfg["two_ball_h"])
+    _, separations = FLAGS["two-ball"]["separations"]
+    two_ball = bounds.two_ball_experiment(separations, StableParams(tb_alpha, 1), cfg["two_ball_h"])
     passed = bounds.suite_passed(reports) and all(
         l <= g for l, g in zip(two_ball.lower_bounds, two_ball.gaps)
     )
@@ -359,7 +359,7 @@ def cmd_mc(cfg: dict) -> int:
         slope = None
     grid_h = cfg["grid_h"]
     if grid_h is None and d == 1:
-        grid_h = 0.005
+        grid_h = domain.diameter() / 400  # 0.005 on (-1, 1)
     grid_lambda1 = grid_exit = None
     if grid_h is not None:
         grid, op, sol = bounds.solve_domain(domain, alpha, grid_h)

@@ -1,12 +1,14 @@
 """Bounded open domains in R^1 and R^2, and their rasterization onto uniform grids.
 
 Domains are small frozen descriptions (interval unions, balls, boxes, ball
-unions, raster masks). Each kind carries its geometry: the dimension `d`,
-`bounding_box()` of its closure, `diameter()`, `inscribed_radius()` (radius
-and center of a ball inside it), `dilate(r)` (coordinates scaled by r > 0;
-any other r fails the constructor's checks) and the membership test behind
-`contains`. A Grid is an axis-aligned lattice of cell centers with an inside
-mask; a cell is inside exactly when its center lies in the domain.
+unions, raster masks), and each point set is built as exactly one kind: on
+the line every analytic set is an IntervalUnion, while Ball, Box and
+BallUnion are planar, and a ball union holds at least two balls. Each kind
+carries its geometry: the dimension `d`, `bounding_box()` of its closure,
+`diameter()`, `inscribed_radius()` (radius and center of a ball inside it)
+and the membership test behind `contains`. A Grid is an axis-aligned lattice
+of cell centers with an inside mask; a cell is inside exactly when its center
+lies in the domain.
 Measurements are exact for the analytic shapes and deliberately conservative
 on raster masks: the diameter is padded so downstream lower bounds can only
 weaken, and the inscribed ball is valid but not necessarily maximal.
@@ -98,29 +100,30 @@ class IntervalUnion:
         a, b = max(self.intervals, key=lambda ab: ab[1] - ab[0])
         return (b - a) / 2.0, np.array([(a + b) / 2.0])
 
-    def dilate(self, r: float) -> IntervalUnion:
-        return IntervalUnion(tuple((a * r, b * r) for a, b in self.intervals))
+
+def _check_ball(center: Sequence[float], radius: float) -> None:
+    """Refuse a ball whose radius is not positive and finite or whose center is not finite."""
+    if radius <= 0.0 or not math.isfinite(radius):
+        raise ValueError(f"radius must be positive, got {radius}")
+    for i, c in enumerate(center):
+        if not math.isfinite(c):
+            raise ValueError(f"center coordinate {i + 1} must be finite, got {c}")
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball with the given center and radius."""
+    """Open disk with the given center and radius; a ball on the line is an IntervalUnion."""
 
-    center: tuple[float, ...]
+    center: tuple[float, float]
     radius: float
+    d = 2
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0 or not math.isfinite(self.radius):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if len(self.center) not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        for i, c in enumerate(self.center):
-            if not math.isfinite(c):
-                raise ValueError(f"center coordinate {i + 1} must be finite, got {c}")
-
-    @property
-    def d(self) -> int:
-        return len(self.center)
+        if len(self.center) != 2:
+            raise ValueError(
+                f"a Ball is planar, got {len(self.center)} center coordinates; on the line use IntervalUnion"
+            )
+        _check_ball(self.center, self.radius)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center, dtype=float)
@@ -136,27 +139,24 @@ class Ball:
     def inscribed_radius(self) -> tuple[float, np.ndarray]:
         return self.radius, np.asarray(self.center, dtype=float)
 
-    def dilate(self, r: float) -> Ball:
-        return Ball(tuple(c * r for c in self.center), self.radius * r)
-
 
 @dataclass(frozen=True)
 class Box:
-    """Open axis-aligned box (lo_1, hi_1) x ... x (lo_d, hi_d)."""
+    """Open axis-aligned rectangle (lo_1, hi_1) x (lo_2, hi_2); a box on the line is an IntervalUnion."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    lo: tuple[float, float]
+    hi: tuple[float, float]
+    d = 2
 
     def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
-            raise ValueError("box corners must match and have dimension 1 or 2")
+        if len(self.lo) != 2 or len(self.hi) != 2:
+            raise ValueError(
+                f"a Box is planar, got corners of {len(self.lo)} and {len(self.hi)} coordinates; "
+                "on the line use IntervalUnion"
+            )
         for a, b in zip(self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"invalid box edge ({a}, {b})")
-
-    @property
-    def d(self) -> int:
-        return len(self.lo)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
@@ -174,31 +174,22 @@ class Box:
         hi = np.asarray(self.hi)
         return float(np.min(hi - lo)) / 2.0, (lo + hi) / 2.0
 
-    def dilate(self, r: float) -> Box:
-        return Box(tuple(c * r for c in self.lo), tuple(c * r for c in self.hi))
-
 
 @dataclass(frozen=True)
 class BallUnion:
-    """Disjoint union of open balls."""
+    """Disjoint union of two or more open disks; one disk is a Ball."""
 
     balls: tuple[Ball, ...]
+    d = 2
 
     def __post_init__(self) -> None:
-        if not self.balls:
-            raise ValueError("ball union must be nonempty")
-        dims = {len(b.center) for b in self.balls}
-        if len(dims) != 1:
-            raise ValueError("all balls must share one dimension")
+        if len(self.balls) < 2:
+            raise ValueError(f"a ball union needs at least two balls, got {len(self.balls)}; one ball is a Ball")
         for i, bi in enumerate(self.balls):
             for bj in self.balls[i + 1 :]:
                 dist = math.dist(bi.center, bj.center)
                 if dist < bi.radius + bj.radius:
                     raise ValueError("balls overlap")
-
-    @property
-    def d(self) -> int:
-        return self.balls[0].d
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(b.bounding_box() for b in self.balls))
@@ -219,9 +210,6 @@ class BallUnion:
 
     def inscribed_radius(self) -> tuple[float, np.ndarray]:
         return max(self.balls, key=lambda bb: bb.radius).inscribed_radius()
-
-    def dilate(self, r: float) -> BallUnion:
-        return BallUnion(tuple(b.dilate(r) for b in self.balls))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +330,6 @@ class RasterMask:
         k = int(np.argmax(dist))
         return float(dist[k]), pts[k]
 
-    def dilate(self, r: float) -> RasterMask:
-        return RasterMask(self.mask, self.h * r, tuple(c * r for c in self.origin))
-
 
 Domain = Union[IntervalUnion, Ball, Box, BallUnion, RasterMask]
 
@@ -381,10 +366,6 @@ class Grid:
     @property
     def n(self) -> int:
         return len(self.index)
-
-    @property
-    def volume(self) -> float:
-        return self.n * self.h**self.d
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box of the full lattice (inside and outside cells)."""
@@ -455,19 +436,14 @@ def mask_from_predicate(
 def save_mask(dom: RasterMask, path) -> None:
     """Write a mask in the plain-text format: 'd h nx [ny]' then 0/1 rows.
 
-    For 2D masks, line j holds row j (the second lattice axis), one
-    character per cell along the first axis.
+    Line j holds row j (the second lattice axis), one character per cell
+    along the first axis; a 1D mask is the single row of an nx x 1 mask.
     """
-    m = dom.mask
+    rows = dom.mask.reshape(dom.mask.shape[0], -1).T
     with open(path, "w") as fh:
-        if m.ndim == 1:
-            fh.write(f"1 {dom.h!r} {m.shape[0]}\n")
-            fh.write("".join("1" if v else "0" for v in m) + "\n")
-        else:
-            nx, ny = m.shape
-            fh.write(f"2 {dom.h!r} {nx} {ny}\n")
-            for j in range(ny):
-                fh.write("".join("1" if v else "0" for v in m[:, j]) + "\n")
+        fh.write(" ".join([str(dom.d), repr(dom.h), *map(str, dom.mask.shape)]) + "\n")
+        for row in rows:
+            fh.write("".join("1" if v else "0" for v in row) + "\n")
 
 
 def load_mask(path) -> RasterMask:
@@ -487,21 +463,16 @@ def load_mask(path) -> RasterMask:
         raise MaskFormatError(f"header {lines[0]!r} inconsistent with d = {d}")
     if min(ns) < 1:
         raise MaskFormatError(f"header {lines[0]!r} has a cell count below 1")
+    # a 1D mask is the single row of an nx x 1 mask
+    nx, ny = (*ns, 1)[:2]
     body = lines[1:]
-
-    def parse_row(row: str, width: int) -> np.ndarray:
-        if len(row) != width or set(row) - {"0", "1"}:
-            raise MaskFormatError(f"bad mask row {row!r}")
-        return np.frombuffer(row.encode(), dtype=np.uint8) == ord("1")
-
-    if d == 1:
-        if len(body) != 1:
-            raise MaskFormatError("1D mask needs exactly one data row")
-        return RasterMask(parse_row(body[0], ns[0]), h)
-    nx, ny = ns
     if len(body) != ny:
-        raise MaskFormatError(f"expected {ny} rows, found {len(body)}")
+        raise MaskFormatError(
+            f"expected {ny} rows, found {len(body)}" if d == 2 else "1D mask needs exactly one data row"
+        )
     mask = np.empty((nx, ny), dtype=bool)
     for j, row in enumerate(body):
-        mask[:, j] = parse_row(row, nx)
-    return RasterMask(mask, h)
+        if len(row) != nx or set(row) - {"0", "1"}:
+            raise MaskFormatError(f"bad mask row {row!r}")
+        mask[:, j] = np.frombuffer(row.encode(), dtype=np.uint8) == ord("1")
+    return RasterMask(mask.reshape(ns), h)

@@ -115,7 +115,6 @@ class ExitEstimate:
     ts: np.ndarray
     survival: np.ndarray
     survival_ci: np.ndarray
-    paths: int
     increments_drawn: int
     useful_ratio: float
 
@@ -425,7 +424,6 @@ def estimate_exit(
         ts=ts,
         survival=surv,
         survival_ci=surv_ci,
-        paths=cfg.paths,
         increments_drawn=drawn,
         useful_ratio=int(exit_steps.sum()) / drawn,
     )

@@ -65,10 +65,6 @@ class EigenSolution:
     alpha: float
     d: int
 
-    @property
-    def k(self) -> int:
-        return len(self.lambdas)
-
 
 @dataclass
 class LevelSetReport:

@@ -61,7 +61,7 @@ def alpha1_solves():
 
 @pytest.fixture(scope="module")
 def full_suite():
-    return run_suite(alphas=(0.5, 1.0, 1.5), h1d=H_SUITE_1D, h2d=H_SUITE_2D)
+    return run_suite(alphas=(0.5, 1.0, 1.5), h1d=H_SUITE_1D, h2d=H_SUITE_2D, workers=1)
 
 
 def test_criterion_1_constants():

@@ -204,7 +204,7 @@ def test_two_ball_rejects_coarse_grid():
 
 
 def test_suite_coarse_all_verdicts():
-    reports = run_suite(alphas=(1.0,), h1d=0.02, h2d=0.1)
+    reports = run_suite(alphas=(1.0,), h1d=0.02, h2d=0.1, workers=1)
     assert len(reports) == 6
     assert suite_passed(reports)
     labels = [r.label for r in reports]
@@ -212,7 +212,7 @@ def test_suite_coarse_all_verdicts():
 
 
 def test_suite_parallel_matches_serial():
-    serial = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2)
+    serial = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, workers=1)
     parallel = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, workers=2)
     assert multiprocessing.active_children() == []
     for a, b in zip(serial, parallel):
@@ -223,7 +223,7 @@ def test_suite_parallel_matches_serial():
 
 
 def test_suite_passed_requires_all_verdicts():
-    reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2)
+    reports = run_suite(alphas=(1.0,), h1d=0.05, h2d=0.2, workers=1)
     assert suite_passed(reports)
     # the stated thm2 is reported, not asserted
     reports[0].verdicts["thm2_stated"] = False
@@ -238,12 +238,12 @@ def test_suite_solves_two_eigenpairs_and_reports_what_six_give(monkeypatch):
     # the suite's Lanczos solves (2D at h2d = 0.05) at two alphas, each against a k = 6 solve
     eigenpairs, ks = bounds.eigenpairs, []
     monkeypatch.setattr(bounds, "eigenpairs", lambda op, k: ks.append(k) or eigenpairs(op, k))
-    reports = run_suite(alphas=(0.5, 1.5), h1d=0.05, h2d=0.05)
+    reports = run_suite(alphas=(0.5, 1.5), h1d=0.05, h2d=0.05, workers=1)
     assert ks == [2] * 12
     monkeypatch.undo()
     reports = [r for r in reports if r.d == 2]
     assert [r.label for r in reports] == ["square", "square", "disk", "disk", "lshape", "lshape"]
-    domains = {label: (domain, h) for label, domain, h in suite_domains(h2d=0.05)}
+    domains = {label: (domain, h) for label, domain, h in suite_domains(h1d=0.005, h2d=0.05)}
     for r in reports:
         domain, h = domains[r.label]
         _, op, sol = solve_domain(domain, r.alpha, h, k=6)
@@ -255,7 +255,7 @@ def test_suite_solves_two_eigenpairs_and_reports_what_six_give(monkeypatch):
 
 
 def test_suite_domains_declared():
-    doms = suite_domains()
+    doms = suite_domains(h1d=0.005, h2d=0.05)
     assert [lbl for lbl, _, _ in doms] == [
         "interval",
         "interval2",

@@ -64,6 +64,8 @@ def test_parse_domain_errors(bad):
     "text, message",
     [
         ("ball:0,nan,1", "center coordinate 2 must be finite, got nan"),
+        ("ball:0,-1", "radius must be positive, got -1.0"),
+        ("ball:nan,1", "center coordinate 1 must be finite, got nan"),
         ("ball:inf,0,1", "center coordinate 1 must be finite, got inf"),
         ("balls:0,0,1;nan,5,1", "center coordinate 1 must be finite, got nan"),
         ("interval:-1,1,2,3", "interval piece (-1.0, 1.0, 2.0, 3.0) needs 2 numbers"),
@@ -340,6 +342,17 @@ def test_mc_command_deterministic(tmp_path, capsys, schema):
     assert (tmp_path / "survival.csv").read_bytes() == surv1
 
 
+def test_mc_grid_cross_check_scales_with_the_domain(capsys, monkeypatch):
+    # the default 1D grid spacing is diam / 400: 0.005 on (-1, 1), and fine enough on a narrow interval
+    solve_domain, hs = bounds.solve_domain, []
+    monkeypatch.setattr(bounds, "solve_domain", lambda dom, alpha, h: hs.append(h) or solve_domain(dom, alpha, h))
+    for text in ("interval:-1,1", "interval:0,0.01"):
+        code, out = run_cli(capsys, "mc", "--domain", text, "--paths", "1000")
+        assert code == 0, text
+        assert json.loads(out)["grid_lambda1"] is not None
+    assert hs == [0.005, 0.01 / 400]
+
+
 def test_two_ball_command(tmp_path, capsys, schema):
     code, out = run_cli(
         capsys,
@@ -436,6 +449,27 @@ def test_every_spelling_of_a_published_domain_gets_its_value(capsys, spellings, 
         assert report["published_mismatch"] is mismatch, text
         # the report is still named by the kind as spelled
         assert report["label"] == text.partition(":")[0]
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        pytest.param(
+            ["interval:0.5,2.5", "intervals:0.5,2.5", "box:0.5,2.5", "ball:1.5,1", "balls:1.5,1"], id="interval"
+        ),
+        pytest.param(["intervals:-5,-3;3,5", "balls:-4,1;4,1"], id="two-intervals"),
+    ],
+)
+def test_every_1d_spelling_of_a_point_set_gives_one_solve_report(capsys, spellings):
+    reports = []
+    for text in spellings:
+        code, out = run_cli(capsys, "solve", "--domain", text, "--h", "0.1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["bound_report"].pop("label") == text.partition(":")[0]
+        reports.append(report)
+    for text, report in zip(spellings, reports):
+        assert report == reports[0], text
 
 
 # command line -> {JSON file written under --out: its key in the printed report, or None for all of it}

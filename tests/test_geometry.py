@@ -27,13 +27,13 @@ def test_rasterize_interval_exact_tiling():
     assert grid.n == 4
     xs = sorted(grid.centers[:, 0])
     assert xs == pytest.approx([-0.75, -0.25, 0.25, 0.75])
-    assert grid.volume == pytest.approx(2.0)
+    assert grid.n * grid.h**grid.d == pytest.approx(2.0)
 
 
 def test_rasterize_box_exact_tiling():
     grid = rasterize(Box((-1.0, -1.0), (1.0, 1.0)), 0.5)
     assert grid.n == 16
-    assert grid.volume == pytest.approx(4.0)
+    assert grid.n * grid.h**grid.d == pytest.approx(4.0)
 
 
 def test_rasterize_disk_volume_vs_enumeration():
@@ -48,14 +48,14 @@ def test_rasterize_disk_volume_vs_enumeration():
             if x * x + y * y < 1.0:
                 count += 1
     assert grid.n == count
-    assert abs(grid.volume - math.pi) <= 0.05 * math.pi
+    assert abs(grid.n * grid.h**grid.d - math.pi) <= 0.05 * math.pi
 
 
 def test_disk_volume_convergence():
     errs = []
     for h in (0.2, 0.1, 0.05):
         grid = rasterize(Ball((0.0, 0.0), 1.0), h)
-        err = abs(grid.volume - math.pi)
+        err = abs(grid.n * grid.h**grid.d - math.pi)
         assert err <= 4.0 * (2.0 * math.pi) * h
         errs.append(err)
     assert errs[0] >= errs[1] >= errs[2]
@@ -106,27 +106,7 @@ def test_diameter_exact_shapes():
     assert Box((-1.0, -1.0), (1.0, 1.0)).diameter() == pytest.approx(2.0 * math.sqrt(2.0))
     two = BallUnion((Ball((-3.0, 0.0), 1.0), Ball((3.0, 0.0), 1.0)))
     assert two.diameter() == pytest.approx(8.0)
-    assert Ball((0.5,), 2.0).diameter() == pytest.approx(4.0)
-
-
-def test_diameter_dilation_homogeneity():
-    shapes = [
-        interval(-1.0, 1.0),
-        Box((-1.0, 0.0), (2.0, 1.0)),
-        Ball((0.2, 0.1), 1.3),
-        BallUnion((Ball((-2.0, 0.0), 0.5), Ball((2.0, 0.0), 1.0))),
-        BallUnion((Ball((-2.0,), 0.5), Ball((2.0,), 1.0))),
-        lshape_mask(0.25),
-    ]
-    for dom in shapes:
-        for r in (0.5, 2.0, 3.7):
-            assert dom.dilate(r).diameter() == pytest.approx(r * dom.diameter(), rel=1e-12)
-
-
-def test_dilate_shapes():
-    assert interval(-1.0, 1.0).dilate(2.0).intervals == ((-2.0, 2.0),)
-    b = Ball((0.0,), 1.0).dilate(3.0)
-    assert b.center == (0.0,) and b.radius == 3.0
+    assert Ball((0.5, -1.0), 2.0).diameter() == pytest.approx(4.0)
 
 
 def test_inscribed_radius_exact_shapes():
@@ -181,11 +161,8 @@ def test_raster_measurements_keep_memory_flat():
 
 EVERY_KIND = [
     pytest.param(IntervalUnion(((-2.0, -0.5), (0.5, 1.0))), id="intervals-1d"),
-    pytest.param(Ball((0.3,), 1.0), id="ball-1d"),
     pytest.param(Ball((0.3, -0.2), 0.9), id="ball-2d"),
-    pytest.param(Box((-1.0,), (0.5,)), id="box-1d"),
     pytest.param(Box((-1.0, 0.0), (2.0, 1.0)), id="box-2d"),
-    pytest.param(BallUnion((Ball((-2.0,), 0.5), Ball((2.0,), 1.0))), id="balls-1d"),
     pytest.param(BallUnion((Ball((-2.0, 0.0), 0.5), Ball((2.0, 0.0), 1.0))), id="balls-2d"),
     pytest.param(RasterMask(np.array([0, 1, 1, 0, 1, 1, 1, 0], dtype=bool), 0.25, (-1.0,)), id="mask-1d"),
     pytest.param(lshape_mask(0.25), id="mask-2d"),
@@ -201,10 +178,6 @@ def test_every_kind_carries_consistent_geometry(dom):
     assert contains(dom, grid.centers).all()
     r, c = dom.inscribed_radius()
     assert r > 0.0 and contains(dom, c).all()
-    assert dom.dilate(2.0).inscribed_radius()[0] == pytest.approx(2.0 * r, rel=1e-12)
-    for factor in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            dom.dilate(factor)
 
 
 def test_raster_diameter_is_conservative():
@@ -235,6 +208,18 @@ def test_mask_roundtrip_1d(tmp_path):
     assert back.h == 0.5
 
 
+def test_save_mask_writes_the_plain_text_format(tmp_path):
+    path = tmp_path / "m.mask"
+    # a 1D mask is the one row of the 2D format
+    save_mask(RasterMask(np.array([False, True, True, False, True, False]), 0.5), path)
+    assert path.read_text() == "1 0.5 6\n011010\n"
+    # line j holds the cells whose second index is j
+    mask = np.zeros((3, 2), dtype=bool)
+    mask[0, 0] = mask[2, 0] = mask[1, 1] = True
+    save_mask(RasterMask(mask, 0.1), path)
+    assert path.read_text() == "2 0.1 3 2\n101\n010\n"
+
+
 def test_mask_format_errors(tmp_path):
     bad = tmp_path / "bad.mask"
     bad.write_text("2 0.5 3 2\n111\n11\n")
@@ -255,6 +240,27 @@ def test_mask_format_errors(tmp_path):
             load_mask(bad)
 
 
+def test_each_point_set_is_built_as_one_kind():
+    # on the line every analytic set is an IntervalUnion; a union of balls has two or more
+    for center in [(0.3,), (0.0, 0.0, 0.0)]:
+        message = f"a Ball is planar, got {len(center)} center coordinates; on the line use IntervalUnion"
+        with pytest.raises(ValueError, match=message):
+            Ball(center, 1.0)
+    for lo, hi in [((-1.0,), (0.5,)), ((-1.0, 0.0), (0.5,))]:
+        message = f"a Box is planar, got corners of {len(lo)} and {len(hi)} coordinates; on the line use IntervalUnion"
+        with pytest.raises(ValueError, match=message):
+            Box(lo, hi)
+    with pytest.raises(ValueError, match="a Ball is planar"):
+        BallUnion((Ball((-2.0,), 0.5), Ball((2.0,), 1.0)))
+    for balls in [(Ball((0.0, 0.0), 1.0),), ()]:
+        message = f"a ball union needs at least two balls, got {len(balls)}; one ball is a Ball"
+        with pytest.raises(ValueError, match=message):
+            BallUnion(balls)
+    two = BallUnion((Ball((-2.0, 0.0), 0.5), Ball((2.0, 0.0), 1.0)))
+    assert Ball((0.0, 0.0), 1.0).d == Box((0.0, 0.0), (1.0, 1.0)).d == two.d == 2
+    assert interval(-1.0, 1.0).d == 1
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         IntervalUnion(((0.0, 1.0), (0.5, 2.0)))  # overlap
@@ -262,7 +268,7 @@ def test_domain_validation():
         IntervalUnion(((1.0, 0.0),))
     with pytest.raises(ValueError):
         Ball((0.0, 0.0), -1.0)
-    for center in [(0.0, float("nan")), (float("inf"), 0.0), (float("-inf"),)]:
+    for center in [(0.0, float("nan")), (float("inf"), 0.0), (float("-inf"), float("-inf"))]:
         with pytest.raises(ValueError, match="center coordinate .* must be finite"):
             Ball(center, 1.0)
     for piece in [(-1.0, 1.0, 2.0, 3.0), (0.0,), ()]:
@@ -271,7 +277,7 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         Box((0.0, 0.0), (1.0, -1.0))
     with pytest.raises(ValueError):
-        BallUnion((Ball((0.0,), 1.0), Ball((1.5,), 1.0)))  # overlap
+        BallUnion((Ball((0.0, 0.0), 1.0), Ball((1.5, 0.0), 1.0)))  # overlap
     for h in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             RasterMask(np.ones(3, dtype=bool), h)

@@ -450,7 +450,7 @@ def _kill_1d_oracle(grid, alpha, nodes):
     "dom, h, alpha",
     [
         (interval(-1.0, 1.0), 1e-4, 1.9),
-        (next(dom for label, dom, _ in suite_domains() if label == "two_intervals"), 0.005, 1.5),
+        (next(dom for label, dom, _ in suite_domains(h1d=0.005, h2d=0.05) if label == "two_intervals"), 0.005, 1.5),
         (_two_component_domain(32.0, 1), 0.02, 1.7),
     ],
     ids=["interval", "two_intervals", "two_ball"],

@@ -43,7 +43,7 @@ def test_interval_eigenvalues(interval_run):
 def test_orthonormality(interval_run):
     _, sol = interval_run
     gram = sol.phis.T @ sol.phis * sol.h**sol.d
-    assert np.abs(gram - np.eye(sol.k)).max() <= 1e-10
+    assert np.abs(gram - np.eye(len(sol.lambdas))).max() <= 1e-10
 
 
 def test_ground_state_positive_and_simple(interval_run):
@@ -54,7 +54,7 @@ def test_ground_state_positive_and_simple(interval_run):
 
 def test_eigenpairs_deterministic(interval_run):
     op, sol = interval_run
-    again = eigenpairs(op, sol.k)
+    again = eigenpairs(op, len(sol.lambdas))
     assert np.array_equal(sol.lambdas, again.lambdas)
     assert np.array_equal(sol.phis, again.phis)
 
@@ -255,7 +255,7 @@ def test_lanczos_stops_at_a_hundredth_of_the_residual_bound(monkeypatch):
 
 STOPPING_RULE_CASES = [
     pytest.param(dom, h, alpha, id=f"{label}-{alpha}")
-    for label, dom, h in suite_domains(h2d=0.05)
+    for label, dom, h in suite_domains(h1d=0.005, h2d=0.05)
     if dom.d == 2
     for alpha in (0.5, 1.0, 1.5)
 ] + [pytest.param(Ball((0.0, 0.0), 1.0), 0.028, 1.0, id="disk-h0.028-1.0")]
@@ -403,7 +403,7 @@ def test_mirror_pairs_reflect_the_lattice():
     [
         (IntervalUnion(((-3.0, -2.0), (2.0, 2.5))), 0.005),  # two intervals of unequal length
         (Ball((0.0, 0.0), 1.0), 0.07),  # 2 / h is not an integer: the lattice is off centre
-        (suite_domains(h2d=0.1)[5][1], 0.1),  # the L-shape
+        (suite_domains(h1d=0.005, h2d=0.1)[5][1], 0.1),  # the L-shape
     ],
     ids=["unequal-intervals", "disk-h0.07", "lshape"],
 )
