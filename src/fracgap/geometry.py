@@ -50,6 +50,16 @@ PAD_CELLS = 2
 # (points x cells) pairs a raster measurement handles at once, to keep memory flat
 _PAIR_BLOCK = 2**18
 
+# two pieces that reach into each other by at most this many ulps of their
+# largest coordinate touch: 0.1 + 0.2 rounds above 0.3 and 0.3 - 0.2 below 0.1
+TOUCH_ULPS = 4
+
+
+def _overlap(depth: float, *coords: float) -> bool:
+    """Whether two pieces that reach `depth` into each other overlap by more
+    than TOUCH_ULPS ulps of the largest of their coordinates."""
+    return depth > TOUCH_ULPS * math.ulp(max(abs(c) for c in coords))
+
 
 class EmptyGridError(ValueError):
     """Raised when rasterization produces fewer than two inside cells."""
@@ -77,7 +87,7 @@ class IntervalUnion:
                 raise ValueError(f"invalid interval ({a}, {b})")
         ordered = sorted(self.intervals)
         for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
-            if a2 < b1:
+            if _overlap(b1 - a2, a1, b1, a2, b2):
                 raise ValueError(f"intervals ({a1}, {b1}) and ({a2}, {b2}) overlap")
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +197,8 @@ class BallUnion:
             raise ValueError(f"a ball union needs at least two balls, got {len(self.balls)}; one ball is a Ball")
         for i, bi in enumerate(self.balls):
             for bj in self.balls[i + 1 :]:
-                dist = math.dist(bi.center, bj.center)
-                if dist < bi.radius + bj.radius:
+                reach = bi.radius + bj.radius
+                if _overlap(reach - math.dist(bi.center, bj.center), *bi.center, *bj.center, reach):
                     raise ValueError("balls overlap")
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

@@ -106,7 +106,7 @@ class SolveError(RuntimeError):
 def cho_factor(a, *args, **kwargs):
     """scipy.linalg.cho_factor, imported on the first call. The package factors
     nothing; the name stays bound for the benchmark tracer, which wraps it, and
-    importing scipy.linalg here would cost every command ~0.4 s."""
+    importing scipy.linalg here would cost every command 0.14-0.22 s and ~28 MB."""
     from scipy.linalg import cho_factor as factor
 
     return factor(a, *args, **kwargs)

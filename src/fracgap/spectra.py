@@ -2,10 +2,12 @@
 
 Covers: the low spectrum with a fixed deterministic sign convention (dense
 LAPACK `eigh` on small grids, on the odd and even blocks of H under a lattice
-mirror, the even block being all of H without one; above a measured size
-crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT apply
-in 2D and shift-invert with circulant-PCG solves in 1D), the spectral gap, and
-the half-maximum level set of the ground state with its exit-time sandwich.
+mirror, the even block being all of H without one: numpy's `eigh` on blocks
+of at most 32 rows, scipy's subset `eigh` on larger ones; above a measured
+size crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT
+apply in 2D and shift-invert with circulant-PCG solves in 1D), the spectral
+gap, and the half-maximum level set of the ground state with its exit-time
+sandwich.
 """
 
 from __future__ import annotations
@@ -45,6 +47,19 @@ LANCZOS_MAX_RESTARTS = 1000
 EIG_RESIDUAL_TOL = 1e-8  # bound on max_j ||H phi_j - lambda_j phi_j|| / lambda_j
 # eigenvalues of the two mirror blocks this close (relative) form one cluster
 MIRROR_CLUSTER_RTOL = 1e-10
+# Largest dense block that numpy's full eigh solves; larger ones take scipy's
+# subset eigh, so a solve whose blocks are all this small never imports
+# scipy.linalg (0.14-0.22 s, ~28 MB). Best of 7 x 200 calls on 1D blocks of H
+# at alpha 1, 2 BLAS threads, two runs (us):
+#   rows  numpy full  scipy subset, k = 2 / 3 / 6
+#   10    14-16       22-24 / 26-32 / 33-40
+#   20    43-61       34-44 / 38-52 / 53-63
+#   32    87-88       53-62 / 64-80 / 91-104
+#   40    145-216     108-126 / 85-137 / 118-119
+#   50    210-241     97-105 / 108-129 / 154-177
+#   64    288-336     139-145 / 164-166 / 257-299
+# Up to 32 rows numpy costs under 0.1 ms and at most 1.7x scipy.
+NUMPY_EIGH_MAX_ROWS = 32
 
 
 @dataclass
@@ -114,14 +129,17 @@ def _mirror(op: KilledOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _lapack_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The min(k, len(a)) smallest eigenpairs of a symmetric matrix by LAPACK."""
-    # imported here: scipy.linalg takes ~0.4 s to import, and commands that
-    # solve no eigenproblem (exit-time, constants) never load it
-    from scipy.linalg import LinAlgError, eigh
-
+    """The min(k, len(a)) smallest eigenpairs of a symmetric matrix by LAPACK:
+    numpy's full eigh up to NUMPY_EIGH_MAX_ROWS rows, scipy's subset eigh above."""
     try:
+        if len(a) <= NUMPY_EIGH_MAX_ROWS:
+            vals, vecs = np.linalg.eigh(a)
+            return vals[:k], vecs[:, :k]
+        # imported here: a command whose blocks all take the numpy branch never loads it
+        from scipy.linalg import eigh
+
         return eigh(a, subset_by_index=(0, min(k, len(a)) - 1))
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class too
         raise SolveError("eigensolver failed to converge; reduce the grid size") from exc
 
 
@@ -134,7 +152,7 @@ def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
         odd: H_pp - H_pq,  even: [[H_pp + H_pq, sqrt2 H_pf], [sqrt2 H_fp, H_ff]],
     gathered straight from the offset table. Without a mirror p is empty:
     there is no odd block and the even one is H itself, so the result is
-    bitwise eigh of the dense matrix. Eigenvalues of the two blocks within
+    bitwise _lapack_eigh of H. Eigenvalues of the two blocks within
     MIRROR_CLUSTER_RTOL of each other form one cluster, ordered odd block
     first, so a degenerate pair split across the blocks comes out in the same
     order at any BLAS thread count.

@@ -96,6 +96,8 @@ from fracgap.cli import main
 assert main(["exit-time", "--domain", "interval:-1,1", "--h", "0.02", "--out", {str(tmp_path)!r}]) == 0
 assert main(["exit-time", "--domain", "ball:0,0,1", "--h", "0.2"]) == 0
 assert main(["constants", "--alpha", "1.5", "--dim", "2"]) == 0
+# n = 40 on a mirror: two dense blocks of 20 rows, both within numpy's eigh
+assert main(["solve", "--domain", "interval:-1,1", "--h", "0.05"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
@@ -103,6 +105,25 @@ assert not loaded, loaded
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, overlap",
+    [
+        ("balls:0,0,0.1;0.3,0,0.2", None),  # 0.1 + 0.2 rounds one ulp above the distance 0.3
+        ("balls:0,0.1;0.3,0.2", None),  # 0.3 - 0.2 rounds two ulps below 0.1
+        ("balls:0,0,0.1;0.25,0,0.2", "balls overlap"),
+    ],
+    ids=["disks-touch", "intervals-touch", "disks-overlap"],
+)
+def test_pieces_that_touch_up_to_rounding_solve(capsys, text, overlap):
+    code = main(["solve", "--domain", text, "--h", "0.01"])
+    captured = capsys.readouterr()
+    if overlap:
+        assert code == 2 and overlap in captured.err
+    else:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["bound_report"]["diam"] == pytest.approx(0.6)
 
 
 def test_no_command_imports_the_reference_checks(tmp_path):

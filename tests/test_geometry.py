@@ -12,6 +12,7 @@ from fracgap.geometry import (
     EmptyGridError,
     IntervalUnion,
     MaskFormatError,
+    TOUCH_ULPS,
     RasterMask,
     contains,
     interval,
@@ -298,8 +299,16 @@ def test_domain_validation():
     for lo, hi in [((1.0,), (0.0,)), ((0.0,), (0.0,)), ((0.0, 0.0), (1.0, -1.0))]:
         with pytest.raises(ValueError, match=r"mask corners lo = \(.*\) and hi = \(.*\) bound an empty box"):
             mask_from_predicate(lo, hi, 0.1, inside)
-    # touching endpoints are disjoint as open sets
+    # touching endpoints are disjoint as open sets, also when they meet only up to
+    # rounding: TOUCH_ULPS ulps of the largest coordinate, here 0.5 or 0.3
     IntervalUnion(((-1.0, 0.0), (0.0, 1.0)))
+    IntervalUnion(((-0.1, 0.1), (0.3 - 0.2, 0.5)))  # 0.3 - 0.2 < 0.1 by two ulps
+    IntervalUnion(((-0.1, 0.1), (0.1 - TOUCH_ULPS * math.ulp(0.5), 0.5)))
+    with pytest.raises(ValueError, match="intervals .* overlap"):
+        IntervalUnion(((-0.1, 0.1), (0.1 - (TOUCH_ULPS + 1) * math.ulp(0.5), 0.5)))
+    BallUnion((Ball((0.0, 0.0), 0.1), Ball((0.3, 0.0), 0.2)))  # 0.1 + 0.2 > 0.3 by one ulp
+    with pytest.raises(ValueError, match="balls overlap"):
+        BallUnion((Ball((0.0, 0.0), 0.1), Ball((0.25, 0.0), 0.2)))
 
 
 def test_raster_contains_respects_cells():

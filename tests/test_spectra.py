@@ -404,16 +404,42 @@ def test_mirror_pairs_reflect_the_lattice():
         (IntervalUnion(((-3.0, -2.0), (2.0, 2.5))), 0.005),  # two intervals of unequal length
         (Ball((0.0, 0.0), 1.0), 0.07),  # 2 / h is not an integer: the lattice is off centre
         (suite_domains(h1d=0.005, h2d=0.1)[5][1], 0.1),  # the L-shape
+        (IntervalUnion(((-3.0, -2.0), (2.0, 2.5))), 0.1),  # n = 15: numpy's eigh
     ],
-    ids=["unequal-intervals", "disk-h0.07", "lshape"],
+    ids=["unequal-intervals", "disk-h0.07", "lshape", "unequal-intervals-n15"],
 )
 def test_lattices_without_a_mirror_take_the_full_eigh(dom, h):
     op = assemble(rasterize(dom, h), 1.0)
     p, q, f = spectra._mirror(op)
     assert len(p) == len(q) == 0 and np.array_equal(f, np.arange(op.n))  # the trivial split
     vals, vecs = spectra._dense_eigh(op, 3)
-    want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 2))
+    if op.n <= spectra.NUMPY_EIGH_MAX_ROWS:
+        want, want_vecs = np.linalg.eigh(op.matrix())
+        want, want_vecs = want[:3], want_vecs[:, :3]
+    else:
+        want, want_vecs = eigh(op.matrix(), subset_by_index=(0, 2))
     assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
+
+
+def test_small_blocks_take_numpys_eigh_and_agree_with_scipys():
+    # principal blocks of one H on both sides of the threshold: each is bitwise
+    # the solver of its branch and agrees with the other branch's solver
+    m, k = spectra.NUMPY_EIGH_MAX_ROWS, 6
+    h_full = assemble(rasterize(interval(-1.0, 1.0), 0.05), 1.0).matrix()
+    assert len(h_full) > m
+    for rows, numpy_branch in ((m, True), (m + 1, False)):
+        a = h_full[:rows, :rows]
+        vals, vecs = spectra._lapack_eigh(a, k)
+        full_vals, full_vecs = np.linalg.eigh(a)
+        numpy_pairs = full_vals[:k], full_vecs[:, :k]
+        scipy_pairs = eigh(a, subset_by_index=(0, k - 1))
+        mine, other = (numpy_pairs, scipy_pairs) if numpy_branch else (scipy_pairs, numpy_pairs)
+        assert np.array_equal(vals, mine[0]) and np.array_equal(vecs, mine[1])
+        assert (np.abs(vals - other[0]) <= 1e-12 * other[0]).all()
+        gaps = np.diff(full_vals[: k + 1])
+        for j in range(k):
+            if min(gaps[j - 1] if j else math.inf, gaps[j]) > 1e-6 * vals[j]:  # simple
+                assert abs(abs(float(vecs[:, j] @ other[1][:, j])) - 1.0) <= 1e-10, (rows, j)
 
 
 def test_diag_off_its_mirror_takes_the_full_eigh():
