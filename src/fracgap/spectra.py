@@ -4,8 +4,8 @@ Covers: the low spectrum with a fixed deterministic sign convention (dense
 LAPACK `eigh` on small grids, on the odd and even blocks of H under a lattice
 mirror, the even block being all of H without one: numpy's `eigh` on blocks
 of at most 32 rows, scipy's subset `eigh` on larger ones; above a measured
-size crossover ARPACK on the matrix-free operator, plain Lanczos on its FFT
-apply in 2D and shift-invert with circulant-PCG solves in 1D), the spectral
+size crossover thick-restart Lanczos in numpy on the matrix-free operator, on
+its FFT apply in 2D and on H^-1 by circulant-PCG solves in 1D), the spectral
 gap, and the half-maximum level set of the ground state with its exit-time
 sandwich.
 """
@@ -28,21 +28,36 @@ __all__ = [
     "export_eigenpairs_csv",
 ]
 
-# Smallest n at which eigenpairs leaves dense eigh for ARPACK: plain Lanczos
-# on op.apply in 2D, shift-invert with circulant-PCG inner solves in 1D.
-# Measured for k = 6 on 2 cores (seconds, eigh / ARPACK):
+# Smallest n at which eigenpairs leaves dense eigh for Lanczos: on op.apply in
+# 2D, on H^-1 by circulant-PCG inner solves in 1D. Measured when ARPACK (scipy's
+# eigsh) ran there, for k = 6 on 2 cores (seconds, eigh / ARPACK); the Lanczos
+# here took fewer applies than ARPACK on every case measured since:
 # 2D n = 644: 0.022/0.026, 0.023/0.041, 0.035/0.042 (alpha 0.5, 1, 1.5);
 # n = 873: 0.043/0.040, 0.044/0.037, 0.049/0.062; n = 1264: 0.14/0.043,
 # 0.15/0.070, 0.17/0.078. 1D: n = 800 0.04/0.06-0.12, n = 1200
 # 0.11/0.07-0.10, n = 4000 3.7-4.6/0.24-0.31. Plain Lanczos loses in 1D (the
 # spectrum spreads as n^alpha, not n^(alpha/2)); shift-invert loses in 2D
-# (4.4-5.2x slower than plain Lanczos at n = 4003, alpha 0.5-1.7; 4.4x and
+# (4.4-5.2x slower than Lanczos on apply at n = 4003, alpha 0.5-1.7; 4.4x and
 # 2.5x at n = 31428, alpha 1 and 1.7). The crossover was measured with eigh
 # on all of H, as on a lattice without a mirror; the two half-size blocks of a
 # mirror take 6.5 ms against 10.1 ms at n = 400 and 24 ms against 43 ms at
 # n = 800 (1D, k = 2).
 LANCZOS_MIN_NODES = 1000
-# ARPACK restarts; the disk needs 13 at n = 4003 (alpha 1) and 44 at n = 7860 (alpha 1.7)
+# Rows of the Lanczos basis, or 2k + 1 if more. numpy's eigh solves a T of at
+# most 25 rows (LAPACK's SMLSIZ) by QR iteration; from 26 rows on it takes
+# divide and conquer, whose gemm wakes numpy's OpenBLAS threads, and they then
+# spin against scipy's on the next dense solve: with 30 rows the suite's op
+# took 0.43-0.47 s against 0.21-0.22 s with 25 (2 BLAS threads, alternated).
+# Applies to convergence with m = 20 / 25 / 30 / 40 rows, against ARPACK
+# (scipy's eigsh, 20 rows, same start vector and stopping rule), on the disk:
+#   n = 4003,  h = 0.028, alpha 1,   k = 6:  167 / 165 / 162 / 159   ARPACK 186
+#   n = 7860,  h = 0.02,  alpha 1.7, k = 2:  326 / 289 / 296 / 287   ARPACK 447
+#   n = 16033, h = 0.014, alpha 1.7, k = 6:  993 / 745 / 630 / 567   ARPACK 793
+# and the suite's nine 2D solves (k = 2, n = 1200-1600): 774 / 765 / 788 / 778,
+# ARPACK 1070.
+LANCZOS_BASIS = 25
+# restarts of a full basis; the disk needs 14 at n = 4003 (alpha 1, k = 6),
+# 22 at n = 7860 (alpha 1.7, k = 2) and 72 at n = 16033 (alpha 1.7, k = 6)
 LANCZOS_MAX_RESTARTS = 1000
 EIG_RESIDUAL_TOL = 1e-8  # bound on max_j ||H phi_j - lambda_j phi_j|| / lambda_j
 # eigenvalues of the two mirror blocks this close (relative) form one cluster
@@ -160,7 +175,8 @@ def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     if op.n > MAX_DENSE_NODES:
         raise ValueError(
             f"k = {k} at n = {op.n}: dense eigh is capped at MAX_DENSE_NODES = {MAX_DENSE_NODES} cells and "
-            "ARPACK's n x (2k + 1) basis at MAX_DENSE_NODES^2 doubles; choose a smaller k or a coarser h"
+            "the Lanczos basis of (max(LANCZOS_BASIS, 2k + 1) + 1) x n doubles at MAX_DENSE_NODES^2; "
+            "choose a smaller k or a coarser h"
         )
     p, q, f = _mirror(op)
     m = len(p)
@@ -200,55 +216,113 @@ def _dense_eigh(op: KilledOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[chosen], vecs
 
 
+def _basis_size(k: int) -> int:
+    """Rows of the Lanczos basis for k pairs; _lanczos caps it at n."""
+    return max(LANCZOS_BASIS, 2 * k + 1)
+
+
+def _combine(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows coef[:, j] @ basis, one gemv each: a gemm over the rows rounds
+    differently at different BLAS thread counts."""
+    return np.array([c @ basis for c in coef.T])
+
+
 def _lanczos(op: KilledOperator, k: int, shift_invert: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs by implicitly restarted Lanczos (ARPACK): on op.apply,
-    or with shift_invert on H^-1 applied by circulant-preconditioned CG.
+    """k smallest eigenpairs by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000): the smallest Ritz pairs of op.apply, or with
+    shift_invert the largest theta of H^-1 applied by circulant-preconditioned
+    CG, lambda = 1 / theta, each vector then taking one more solve (one step of
+    inverse iteration).
 
-    ARPACK stops once every Ritz pair has ||H phi - lambda phi|| <= tol * |lambda|,
-    the relative residual that eigenpairs checks; tol is a hundredth of that
-    check's bound, EIG_RESIDUAL_TOL. Against tol = 0 (machine precision) the disk
-    at n = 4003 takes 186 applies instead of 238 and lambda moves by < 1e-14
-    relative. With shift_invert the test applies to the pairs of H^-1; the 1D
-    residual of H sits at ~2 eps max(diag) / lambda_1, a float64 floor that
-    grows as h^-alpha and that neither CG_RTOL nor tol sets (3.1e-9, 2.0 times
-    the floor, on the interval at h = 1e-4, alpha 1.7, n = 20000)."""
-    # imported here: it adds ~4 MB, and only solves above the crossover need it
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
+    Each new basis row loses its three-term part (alpha_j, and beta_(j-1) or
+    the couplings to the kept rows), then is orthogonalized against all the
+    others by classical Gram-Schmidt, with a second pass when the first leaves
+    less than 1/sqrt(2) of the row's norm (Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 30, 1976). Every product with the basis is one gemv, so the
+    bits do not depend on the BLAS thread count up to the sizes where BLAS
+    splits a gemv or a dot product across threads (see the README). A full
+    basis of m rows restarts from the Ritz vectors nearest the wanted end plus
+    the residual row. The run stops once every wanted Ritz pair has
+    |beta s_m| = ||A y - theta y|| <= tol |theta|, tol a hundredth of
+    EIG_RESIDUAL_TOL, the bound eigenpairs checks on H. With shift_invert that
+    rule bounds the pairs of H^-1, and the residual of H after the inverse
+    iteration step sits near 1.5-1.7 eps max(diag) / lambda_1, a float64 floor
+    that grows as h^-alpha and that neither CG_RTOL nor tol sets (8.0e-9 on
+    the interval at h = 5e-5, alpha 1.7, n = 40000; 3.5e-3 without that step,
+    whose input H magnifies along its high modes).
+    """
+    n = op.n
+    m = min(_basis_size(k), n)
+    apply = (lambda b: solve(op, b)) if shift_invert else op.apply
+    tol = EIG_RESIDUAL_TOL / 100
     # a fixed start vector without symmetry: ones is orthogonal to every
     # antisymmetric eigenvector of a symmetric domain
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n)
-    H = LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
-    if shift_invert:
-        inverse = LinearOperator((op.n, op.n), matvec=lambda b: solve(op, b), dtype=float)
-        mode = {"sigma": 0.0, "OPinv": inverse}
-    else:
-        mode = {"which": "SA"}
-    try:
-        vals, vecs = eigsh(H, k=k, tol=EIG_RESIDUAL_TOL / 100, v0=v0, maxiter=LANCZOS_MAX_RESTARTS, **mode)
-    except ArpackError as exc:
-        raise SolveError(f"Lanczos eigensolver failed: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    basis = np.empty((m + 1, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    T = np.zeros((m, m))  # the projection of the operator on basis[:m]
+    kept = 0
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for j in range(kept, m):
+            w = apply(basis[j])
+            T[j, j] = basis[j] @ w
+            # the three-term part first: alpha_j, and beta_(j-1) or the kept rows' couplings
+            lo = j - 1 if j > kept else 0
+            w -= T[lo : j + 1, j] @ basis[lo : j + 1]
+            for _ in range(2):
+                coef = basis[: j + 1] @ w
+                w -= coef @ basis[: j + 1]
+                T[j, j] += coef[j]
+                beta = np.linalg.norm(w)
+                if beta >= np.linalg.norm(coef):  # the pass kept over 1/sqrt(2) of the norm
+                    break
+            if not beta > 0.0:
+                raise SolveError("Lanczos basis broke down: the start vector spans an invariant subspace")
+            if j + 1 < m:
+                T[j, j + 1] = T[j + 1, j] = beta
+            np.divide(w, beta, out=basis[j + 1])
+            size = j + 1
+            # a shift-invert step costs a CG solve and its Ritz values converge in a few
+            # steps, so it tests after every step while eigh of T costs far less than a solve
+            if size < k or not (size == m or (shift_invert and size <= LANCZOS_BASIS)):
+                continue
+            theta, s = np.linalg.eigh(T[:size, :size])
+            # the Ritz pairs nearest the wanted end first
+            near = np.arange(size)[::-1] if shift_invert else np.arange(size)
+            wanted = near[:k]
+            if (np.abs(beta * s[-1, wanted]) <= tol * np.abs(theta[wanted])).all():
+                vals, vecs = theta[wanted], _combine(s[:, wanted], basis[:size])
+                if shift_invert:  # one step of inverse iteration
+                    vals, vecs = 1.0 / vals, np.array([solve(op, v) for v in vecs])
+                    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+                return vals, vecs.T
+        kept = (m + k) // 2
+        keep = near[:kept]
+        basis[:kept] = _combine(s[:, keep], basis[:m])
+        basis[kept] = basis[m]
+        T[:] = 0.0
+        T[:kept, :kept] = np.diag(theta[keep])
+        T[:kept, kept] = T[kept, :kept] = beta * s[-1, keep]
+    raise SolveError(f"Lanczos eigensolver did not converge in {LANCZOS_MAX_RESTARTS} restarts")
 
 
 def eigenpairs(op: KilledOperator, k: int) -> EigenSolution:
     """k smallest eigenvalues of H with deterministically signed eigenvectors.
 
     Dense eigh on the mirror blocks of H below LANCZOS_MIN_NODES inside
-    cells (or when k is within 1 of n); from there on ARPACK on the
-    matrix-free operator, plain Lanczos in 2D and shift-invert in 1D, while
-    its n x (2k + 1) basis fits in MAX_DENSE_NODES^2 doubles, the dense
-    matrix's footprint; past that, dense eigh, which refuses more than
-    MAX_DENSE_NODES cells with ValueError. Every pair must satisfy
-    ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
+    cells (or when k is within 1 of n); from there on _lanczos on the
+    matrix-free operator, on apply in 2D and on H^-1 in 1D, while its
+    (m + 1) x n basis, m = max(LANCZOS_BASIS, 2k + 1), fits in
+    MAX_DENSE_NODES^2 doubles, the dense matrix's footprint; past that, dense
+    eigh, which refuses more than MAX_DENSE_NODES cells with ValueError.
+    Every pair must satisfy ||H phi - lambda phi|| <= EIG_RESIDUAL_TOL * lambda.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if k > op.n:
         raise ValueError(f"k = {k} exceeds the number of nodes {op.n}")
-    arpack_fits = op.n * (2 * k + 1) <= MAX_DENSE_NODES**2
-    if op.n < LANCZOS_MIN_NODES or k >= op.n - 1 or not arpack_fits:  # ARPACK needs k < n - 1
+    basis_fits = (_basis_size(k) + 1) * op.n <= MAX_DENSE_NODES**2
+    if op.n < LANCZOS_MIN_NODES or k >= op.n - 1 or not basis_fits:
         vals, vecs = _dense_eigh(op, k)
     else:
         vals, vecs = _lanczos(op, k, shift_invert=op.d == 1)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -98,6 +99,9 @@ assert main(["exit-time", "--domain", "ball:0,0,1", "--h", "0.2"]) == 0
 assert main(["constants", "--alpha", "1.5", "--dim", "2"]) == 0
 # n = 40 on a mirror: two dense blocks of 20 rows, both within numpy's eigh
 assert main(["solve", "--domain", "interval:-1,1", "--h", "0.05"]) == 0
+# n = 1264 and n = 2000: Lanczos on the FFT apply, and on H^-1 by circulant-PCG solves
+assert main(["solve", "--domain", "ball:0,0,1", "--h", "0.05"]) == 0
+assert main(["solve", "--domain", "interval:-1,1", "--h", "0.001"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
@@ -105,6 +109,25 @@ assert not loaded, loaded
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_module_imports_scipy_sparse():
+    package = resources.files("fracgap")
+    for path in sorted(p for p in package.iterdir() if p.name.endswith(".py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.sparse") for name in names), (path.name, node.lineno)
+
+
+def test_shift_invert_solve_at_the_float64_floor_passes():
+    # n = 40000: the eigen-residual of H sits near 1.6 eps max(diag) / lambda_1 = 8.0e-9,
+    # under the 1e-8 bound only after the inverse iteration step on each Ritz vector
+    assert main(["solve", "--domain", "interval:-1,1", "--h", "5e-5", "--alpha", "1.7"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -202,7 +225,8 @@ def test_extreme_length_scale_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_too_many_eigenpairs_is_a_usage_error(tmp_path, capsys):
-    # n = 10000: ARPACK's arrays for k = 5000 would take ~1.6 GB, and the dense matrix is capped
+    # n = 10000: the Lanczos basis and its projection for k = 5000 would take ~1.6 GB, and the dense
+    # matrix is capped
     argv = ["solve", "--domain", "interval:-1,1", "--h", "2e-4", "--k", "5000", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "k = 5000 at n = 10000" in capsys.readouterr().err

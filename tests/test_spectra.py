@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import tracemalloc
@@ -238,19 +239,42 @@ def test_lanczos_matches_dense_eigh(alpha):
 
 
 def test_lanczos_stops_at_a_hundredth_of_the_residual_bound(monkeypatch):
-    import scipy.sparse.linalg
+    # the rule |beta s_m| <= EIG_RESIDUAL_TOL / 100 |theta| is the wanted Ritz pairs' residual
+    # ||A y - theta y||: A = H in 2D, tested at each full basis; A = H^-1 in 1D, tested after
+    # every step, whose basis rows are what the solves are given, the last k solves aside
+    k = 6
+    disk = assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.1), 1.0)
+    lines = [(assemble(rasterize(interval(-1.0, 1.0), h), 1.0), wanted) for h, wanted in ((0.02, 4), (0.005, 5))]
+    real_combine, real_solve = spectra._combine, spectra.solve
 
-    tols = []
-    real = scipy.sparse.linalg.eigsh
+    def worst_residual(apply, rows, k, largest=False):
+        """Worst relative residual of the k wanted Ritz pairs of `apply` on the span of `rows`."""
+        images = np.array([apply(r) for r in rows])
+        theta, s = np.linalg.eigh((rows @ images.T + images @ rows.T) / 2.0)
+        wanted = slice(len(theta) - k, None) if largest else slice(k)
+        ritz, ritz_images = s[:, wanted].T @ rows, s[:, wanted].T @ images
+        return max(np.linalg.norm(ritz_images - theta[wanted, None] * ritz, axis=1) / np.abs(theta[wanted]))
 
-    def recorder(*args, **kwargs):
-        tols.append(kwargs["tol"])
-        return real(*args, **kwargs)
+    for bound in (1e-8, 1e-6):
+        monkeypatch.setattr(spectra, "EIG_RESIDUAL_TOL", bound)
+        # the Ritz vectors each restart keeps, the wanted k first, then the k returned
+        ritz = []
+        monkeypatch.setattr(spectra, "_combine", lambda *args: ritz.append(real_combine(*args)) or ritz[-1])
+        _lanczos(disk, k)
+        monkeypatch.setattr(spectra, "_combine", real_combine)
+        assert len(ritz) >= 2
+        assert worst_residual(disk.apply, ritz[-1], k) <= bound / 100 < worst_residual(disk.apply, ritz[-2][:k], k)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorder)
-    _lanczos(assemble(rasterize(Ball((0.0, 0.0), 1.0), 0.1), 1.0), 6)
-    _lanczos(assemble(rasterize(interval(-1.0, 1.0), 0.02), 1.0), 6, shift_invert=True)
-    assert tols == [spectra.EIG_RESIDUAL_TOL / 100] * 2
+        for line, wanted in lines:
+            given = []
+            monkeypatch.setattr(spectra, "solve", lambda op, b: given.append(b.copy()) or real_solve(op, b))
+            _lanczos(line, wanted, shift_invert=True)
+            monkeypatch.setattr(spectra, "solve", real_solve)
+            rows = np.array(given[:-wanted])
+            assert len(rows) <= spectra.LANCZOS_BASIS  # no restart: the rows span a Krylov space
+            inverse = functools.partial(real_solve, line)
+            last, before = (worst_residual(inverse, r, wanted, True) for r in (rows, rows[:-1]))
+            assert last <= bound / 100 < before
 
 
 STOPPING_RULE_CASES = [
@@ -263,7 +287,8 @@ STOPPING_RULE_CASES = [
 
 @pytest.mark.parametrize("dom, h, alpha", STOPPING_RULE_CASES)
 def test_lanczos_stopping_rule_keeps_eigenvalues(dom, h, alpha):
-    # against ARPACK run to machine precision (tol = 0) from the same start vector
+    # against scipy's ARPACK, an independent solver, run to machine precision (tol = 0) from the
+    # same start vector
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     k = 6
@@ -285,6 +310,20 @@ def disk_lanczos_op():
     return op
 
 
+def test_lanczos_finds_both_vectors_of_the_centred_disks_exact_pair(disk_lanczos_op):
+    # 2 / 0.05 cells across: the lattice keeps the disk's quarter turn, so lambda_2 = lambda_3
+    # exactly, and one start vector meets that eigenspace in a single direction
+    op = disk_lanczos_op
+    k = 6
+    want, want_vecs = eigh(op.matrix(), subset_by_index=(0, k))
+    assert want[2] - want[1] <= 1e-14 * want[1] and want[3] - want[2] > 0.1 * want[2]
+    sol = eigenpairs(op, k)
+    assert (np.abs(sol.lambdas - want[:k]) <= 1e-11 * want[:k]).all()
+    # the pair spans the dense eigenspace: every principal angle's cosine is 1
+    cosines = np.linalg.svd(want_vecs[:, 1:3].T @ sol.phis[:, 1:3] * op.h, compute_uv=False)
+    assert np.allclose(cosines, 1.0, atol=1e-8)
+
+
 def test_lanczos_eigenpairs_deterministic(disk_lanczos_op):
     a = eigenpairs(disk_lanczos_op, 6)
     b = eigenpairs(disk_lanczos_op, 6)
@@ -294,7 +333,7 @@ def test_lanczos_eigenpairs_deterministic(disk_lanczos_op):
 
 def test_matrix_free_pipeline_allocates_no_dense_matrix(disk_lanczos_op):
     op = disk_lanczos_op
-    eigenpairs(op, 6)  # the first Lanczos call imports scipy.sparse.linalg; keep that out
+    eigenpairs(op, 6)  # the first call imports numpy.random for the start vector; keep that out
     tracemalloc.start()
     try:
         sol = eigenpairs(op, 6)
@@ -334,8 +373,8 @@ def test_shift_invert_matches_dense_eigh_1d(n, alpha):
 
 
 def test_k_beyond_the_lanczos_basis_cap(monkeypatch):
-    # ARPACK runs only while its n x (2k + 1) basis fits in MAX_DENSE_NODES^2 doubles;
-    # the recorders stand in for the solvers, so nothing large is allocated
+    # Lanczos runs only while its (m + 1) x n basis, m = max(LANCZOS_BASIS, 2k + 1), fits in
+    # MAX_DENSE_NODES^2 doubles; the recorders stand in for the solvers, so nothing large is allocated
     class Chosen(Exception):
         pass
 
